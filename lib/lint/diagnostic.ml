@@ -20,6 +20,7 @@ type code =
   | Sink_unreachable
   | Design_cycle
   | Constraint_target
+  | Multi_driver
   (* constraint coverage (W13x, backward dataflow over the timing DAG) *)
   | Unconstrained_endpoint
   | Dominated_constraint
@@ -165,7 +166,13 @@ let registry =
       "AWE-I203",
       Info,
       "parallel same-kind two-terminal elements between one node pair \
-       collapse into a single equivalent element" ) ]
+       collapse into a single equivalent element" );
+    ( Multi_driver,
+      "AWE-E107",
+      Error,
+      "a net has more than one source (two gates, or a gate and a \
+       primary input): which one drives it is an accident of \
+       declaration order" ) ]
 
 let id code =
   let rec go = function

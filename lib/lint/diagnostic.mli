@@ -34,6 +34,8 @@ type code =
   | Design_cycle
   | Constraint_target
       (** a timing constraint names an unknown or undriven net *)
+  | Multi_driver
+      (** a net driven by two gates, or by a gate and a primary input *)
   | Unconstrained_endpoint
       (** a primary output with no required time and no design clock *)
   | Dominated_constraint

@@ -629,8 +629,41 @@ let check_design_core (d : Sta.design) =
             (String.concat ", " stuck)));
   List.rev !acc
 
+(* every net needs exactly one source of a signal: with two gates (or
+   a gate and a primary-input card) on one net, which arrival and drive
+   the timing would use is an accident of declaration order.  Kept out
+   of [check_design_core], whose output is pinned byte for byte to the
+   legacy implementation. *)
+let check_sources (d : Sta.design) =
+  let gates = Hashtbl.create 64 in
+  List.iter
+    (fun g ->
+      Hashtbl.replace gates g.Sta.gv_output
+        (g.Sta.gv_inst
+        :: Option.value (Hashtbl.find_opt gates g.Sta.gv_output) ~default:[]))
+    (List.rev (Sta.gate_views d));
+  Hashtbl.fold (fun n insts acc -> (n, insts) :: acc) gates []
+  |> List.sort compare
+  |> List.filter_map (fun (n, insts) ->
+         let pi = Sta.primary_input d n <> None in
+         if List.length insts + Bool.to_int pi < 2 then None
+         else
+           let sources =
+             List.map (Printf.sprintf "gate %s") insts
+             @ if pi then [ "its primary-input card" ] else []
+           in
+           Some
+             (D.make ~element:n ~nodes:[ n ]
+                ~hint:"keep exactly one driver per net"
+                D.Multi_driver
+                (Printf.sprintf
+                   "net %s has %d sources (%s): which one the timing \
+                    uses would depend on declaration order"
+                   n (List.length sources) (String.concat ", " sources))))
+
 let check_design (d : Sta.design) =
   check_design_core d
+  @ check_sources d
   @ Health.check_design d ~spread_limit
   @ Coverage.check_design d
 

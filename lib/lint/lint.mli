@@ -68,9 +68,10 @@ val check_design_core : Sta.design -> Diagnostic.t list
     and combinational cycles. *)
 
 val check_design : Sta.design -> Diagnostic.t list
-(** {!check_design_core} followed by the {!Health} per-net Elmore
-    passes (AWE-W2xx) and the {!Coverage} constraint-coverage pass
-    (AWE-W13x). *)
+(** {!check_design_core}, then AWE-E107 (a net with more than one
+    source: two gates, or a gate and a primary input), then the
+    {!Health} per-net Elmore passes (AWE-W2xx) and the {!Coverage}
+    constraint-coverage pass (AWE-W13x). *)
 
 val dedup : Diagnostic.t list -> Diagnostic.t list
 (** Collapse duplicates per finding identity

@@ -1,15 +1,17 @@
-(* Incremental ECO timing (see session.mli).  The session keeps, per
-   net, everything [Timing.analyze] would have computed for it —
-   arrival tuple, solved sink delays, required times, slack entries —
-   plus the memo inputs the solve depended on (input slew, driver
-   resistance, the cache keys it hit or published).  A re-time then
-   re-solves exactly the nets whose solve inputs changed, re-adds
-   arrivals through the cone that actually moved (bitwise compare),
-   and re-runs the min-plus backward pass over the same frontier.
-   Everything recomputed goes through the code paths a cold [analyze]
-   runs — same wave partition, same chunk bounds, frozen views,
-   per-chunk shards absorbed in chunk order — which is what makes the
-   bit-identity contract hold for every [jobs] value. *)
+(* The timing engine, and ECO sessions on top of it (see session.mli).
+   Per net the engine keeps its arrival tuple, solved sink delays,
+   required times and slack entries, plus the memo inputs the solve
+   depended on (input slew, driver resistance, the cache keys it hit
+   or published).  One pass walks the wave schedule: it re-solves
+   exactly the nets whose solve inputs changed, re-adds arrivals
+   through the cone that actually moved (bitwise compare), and re-runs
+   the min-plus backward pass over the same frontier.  A cold
+   [analyze] is the pass in which every net is dirty; a session
+   re-time is the same pass after edits, so the two agree by
+   construction.  Solves fan out per wave in contiguous chunks of the
+   sorted wave, against cache views frozen at wave start, with
+   per-chunk shards absorbed in chunk order — which is what makes
+   every report bit-identical for every [jobs] value. *)
 
 open Timing
 
@@ -47,10 +49,10 @@ type gate_info = {
    served and the net must be re-solved. *)
 type memo = {
   mutable m_valid : bool;
-  mutable m_slew : float;
-  mutable m_driver_res : float;
-  mutable m_timings : (string * float * float * float) list;
-  mutable m_keys : solve_keys;
+  m_slew : float;
+  m_driver_res : float;
+  m_timings : (string * float * float * float) list;
+  m_keys : solve_keys;
 }
 
 type t = {
@@ -59,15 +61,17 @@ type t = {
   sparse : bool;
   reduce : bool;
   jobs : int;
-  mutable cache : cache;
+  mutable cache : cache option; (* [None]: uncached analysis *)
   gate_tbl : (string, gate_info) Hashtbl.t;
   driver_tbl : (string, string) Hashtbl.t; (* net -> driving instance *)
   mutable waves : string list list; (* sorted within each wave *)
   mutable schedule_valid : bool;
   memo : (string, memo) Hashtbl.t;
   arrival : (string, float * float * float * string list) Hashtbl.t;
-      (* net -> driver-pin rise, fall, slew, path (newest first), as
-         [analyze]'s arrival_at_net *)
+      (* net -> driver-pin rise arrival, fall arrival, slew, path (nets,
+         newest first).  Fall arrivals ride along the rise-worst path:
+         input selection is by rise arrival, so both transitions
+         telescope along the same net sequence. *)
   timed : (string, net_timing) Hashtbl.t;
   sink_results : (string * string, sink_timing) Hashtbl.t;
       (* entries for sinks a topology edit removed linger; they are
@@ -103,8 +107,6 @@ type t = {
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
-let no_keys = { sk_exact = None; sk_pattern = None }
-
 let gate_of t inst =
   match Hashtbl.find_opt t.gate_tbl inst with
   | Some gi -> gi
@@ -129,48 +131,65 @@ let rec replace_first lst a b =
 
 (* --- schedule ----------------------------------------------------- *)
 
-(* Replicates [analyze]'s Kahn partition: a net is ready once all of
-   its driver gate's inputs retired in earlier waves; primary-input
-   nets are the roots.  Waves inherit the sorted order of the net
-   list, exactly like the partition over [arrival_at_net]. *)
+(* Kahn waves in one in-degree pass over the connectivity tables.
+   Primary-input nets are wave 0; a gate's output net lands one wave
+   past its latest input, once every input pin has retired (a
+   zero-input gate never fires).  Popping FIFO from all roots visits
+   nets in nondecreasing wave order, so the last input to retire is
+   the latest one.  Waves are then filled from the sorted net list, so
+   each is sorted.  Nets no wave reaches — a combinational cycle, an
+   undriven net — raise [Not_a_dag] before anything is solved. *)
 let compute_waves t =
   let d = t.d in
-  let timed_mark : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  let ready_p net =
-    if primary_input d net <> None then true
-    else
-      match Hashtbl.find_opt t.driver_tbl net with
-      | None -> false
-      | Some inst ->
-        let gi = Hashtbl.find t.gate_tbl inst in
-        (* a zero-input gate never fires in [analyze] (propagation is
-           sink-driven), so its output is never ready *)
-        gi.gi_inputs <> []
-        && List.for_all (fun inp -> Hashtbl.mem timed_mark inp) gi.gi_inputs
-  in
-  let remaining = ref (net_names d) in
-  let waves = ref [] in
-  let progress = ref true in
-  while !remaining <> [] && !progress do
-    progress := false;
-    let ready, blocked = List.partition ready_p !remaining in
-    if ready <> [] then begin
-      progress := true;
-      List.iter (fun n -> Hashtbl.replace timed_mark n ()) ready;
-      waves := ready :: !waves;
-      remaining := blocked
-    end
+  let names = net_names d in
+  let fanout : (string, string) Hashtbl.t = Hashtbl.create 256 in
+  let unretired : (string, int) Hashtbl.t = Hashtbl.create 256 in
+  Hashtbl.iter
+    (fun _ gi ->
+      List.iter (fun inp -> Hashtbl.add fanout inp gi.gi_output) gi.gi_inputs;
+      Hashtbl.replace unretired gi.gi_output (List.length gi.gi_inputs))
+    t.gate_tbl;
+  let wave_of : (string, int) Hashtbl.t = Hashtbl.create 256 in
+  let queue = Queue.create () in
+  List.iter
+    (fun net ->
+      if primary_input d net <> None then begin
+        Hashtbl.replace wave_of net 0;
+        Queue.add net queue
+      end)
+    names;
+  let nwaves = ref 0 in
+  while not (Queue.is_empty queue) do
+    let net = Queue.pop queue in
+    let w = Hashtbl.find wave_of net in
+    nwaves := w + 1;
+    List.iter
+      (fun out ->
+        let k = Hashtbl.find unretired out - 1 in
+        Hashtbl.replace unretired out k;
+        if k = 0 then begin
+          Hashtbl.replace wave_of out (w + 1);
+          Queue.add out queue
+        end)
+      (Hashtbl.find_all fanout net)
   done;
-  if !remaining <> [] then raise (Not_a_dag !remaining);
-  t.waves <- List.rev !waves;
+  let waves = Array.make !nwaves [] and stuck = ref [] in
+  List.iter
+    (fun net ->
+      match Hashtbl.find_opt wave_of net with
+      | Some w -> waves.(w) <- net :: waves.(w)
+      | None -> stuck := net :: !stuck)
+    (List.rev names);
+  if !stuck <> [] then raise (Not_a_dag !stuck);
+  t.waves <- Array.to_list waves;
   t.schedule_valid <- true
 
 (* --- forward-pass helpers ----------------------------------------- *)
 
-(* Pull-based arrival: the tuple [analyze]'s record phase pushes into
-   [arrival_at_net], recomputed from the (current) sink results of the
-   driver gate's inputs.  Same worst-input selection: strict [>] over
-   rise arrivals in input order, first wins. *)
+(* A net's arrival tuple, pulled from the sink results of its driver
+   gate's inputs: the worst input by rise arrival (strict [>] in input
+   order, first wins) plus the gate's intrinsic delay; a primary input
+   contributes its arrival card and slew. *)
 let compute_arrival t net =
   match primary_input t.d net with
   | Some (arr, slew) -> (arr, arr, slew, [ net ])
@@ -198,7 +217,7 @@ let compute_arrival t net =
 let driver_res_of t net =
   match Hashtbl.find_opt t.driver_tbl net with
   | Some inst -> (Hashtbl.find t.gate_tbl inst).gi_cell.drive_res
-  | None -> 1e-3 (* ideal primary input, as in [analyze] *)
+  | None -> 1e-3 (* ideal primary input *)
 
 (* --- cache-key refcounting ---------------------------------------- *)
 
@@ -225,24 +244,27 @@ let claim_keys t (keys : solve_keys) =
 
 (* Always called after [claim_keys] for the same net's new keys, so a
    re-solve landing on its old key goes 1 -> 2 -> 1 and never retires
-   an entry that is still live. *)
+   an entry that is still live.  Keys only exist when a cache does. *)
 let retire_keys t (keys : solve_keys) =
-  (match keys.sk_exact with
-  | Some (hash, signature) ->
-    if decr_ref t.exact_refs (hash, signature) then
-      ignore (cache_remove_exact t.cache ~hash ~signature)
-  | None -> ());
-  match keys.sk_pattern with
-  | Some hash ->
-    if decr_ref t.pattern_refs hash then
-      ignore (cache_remove_pattern t.cache ~hash)
+  match t.cache with
   | None -> ()
+  | Some cache -> (
+    (match keys.sk_exact with
+    | Some (hash, signature) ->
+      if decr_ref t.exact_refs (hash, signature) then
+        ignore (cache_remove_exact cache ~hash ~signature)
+    | None -> ());
+    match keys.sk_pattern with
+    | Some hash ->
+      if decr_ref t.pattern_refs hash then
+        ignore (cache_remove_pattern cache ~hash)
+    | None -> ())
 
 (* --- per-net record rebuild --------------------------------------- *)
 
-(* The bookkeeping half of [analyze]'s record_net: absolute arrivals
-   from the (already updated) arrival tuple plus the (possibly memoed)
-   relative delays.  Returns whether the published record changed. *)
+(* The record step: absolute arrivals from the (already updated)
+   arrival tuple plus the (possibly memoed) relative delays.  Returns
+   whether the published record changed. *)
 let rebuild_net t net timings =
   let ar, af, _, _ = Hashtbl.find t.arrival net in
   let sinks =
@@ -268,10 +290,10 @@ let rebuild_net t net timings =
 
 (* --- endpoints ----------------------------------------------------- *)
 
-(* Rebuild the endpoint requirement table ([analyze]'s endpoint_req:
-   explicit constraints, then the clock period for unconstrained
-   primary outputs) and seed the backward pass with every net whose
-   endpoint value changed, appeared, or disappeared. *)
+(* Rebuild the endpoint requirement table (explicit constraints, then
+   the clock period for unconstrained primary outputs) and seed the
+   backward pass with every net whose endpoint value changed,
+   appeared, or disappeared. *)
 let rebuild_endpoints t =
   let d = t.d in
   let fresh : (string, float) Hashtbl.t = Hashtbl.create 8 in
@@ -296,9 +318,14 @@ let rebuild_endpoints t =
   Hashtbl.reset t.endpoint_req;
   Hashtbl.iter (fun net v -> Hashtbl.replace t.endpoint_req net v) fresh
 
-(* --- the re-time pass --------------------------------------------- *)
+(* --- the pass ------------------------------------------------------ *)
 
-let retime_now t =
+(* One pass over the schedule; every net is dirty on the first pass.
+   A failing net raises when [strict]; otherwise it is reported in
+   [failures] and everything downstream of it stays untimed.  Returns
+   the report (its [stats] hold the merged solve windows and the
+   cache's footprint) and the numbers of nets re-solved and reused. *)
+let pass ~strict t =
   let d = t.d in
   let full = t.last_report = None in
   if not t.schedule_valid then compute_waves t;
@@ -306,46 +333,69 @@ let retime_now t =
   let timing_changed : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let dirty = ref 0 and reused = ref 0 in
   let windows = ref [] in
+  (* non-strict only: the failed nets with their diagnostics (in solve
+     order), and the nets left untimed downstream of them *)
+  let failures = ref [] and blocked = ref [] in
+  let untimed : (string, unit) Hashtbl.t = Hashtbl.create 8 in
+  let upstream_untimed net =
+    Hashtbl.length untimed > 0
+    &&
+    match Hashtbl.find_opt t.driver_tbl net with
+    | None -> false
+    | Some inst ->
+      List.exists (Hashtbl.mem untimed) (Hashtbl.find t.gate_tbl inst).gi_inputs
+  in
   (* forward: wave by wave, classify every net by pulling its arrival
-     tuple and memo inputs, batch-solve the dirty ones through the
-     exact chunked/sharded discipline of [analyze], and rebuild the
-     records of nets whose arrivals moved from the memo. *)
+     tuple and memo inputs, batch-solve the dirty ones, and rebuild
+     the records of nets whose arrivals moved from the memo. *)
   Parallel.with_pool ~jobs:t.jobs (fun pool ->
       List.iter
         (fun wave ->
           let solves = ref [] and arith = ref [] in
           List.iter
             (fun net ->
-              let tuple = compute_arrival t net in
-              let changed =
-                match Hashtbl.find_opt t.arrival net with
-                | Some old -> old <> tuple
-                | None -> true
-              in
-              if changed then Hashtbl.replace t.arrival net tuple;
-              let _, _, slew, _ = tuple in
-              let dres = driver_res_of t net in
-              let need =
-                match Hashtbl.find_opt t.memo net with
-                | None -> true
-                | Some m ->
-                  (not m.m_valid) || m.m_slew <> slew || m.m_driver_res <> dres
-              in
-              if need then solves := (net, slew, dres) :: !solves
-              else if changed then arith := net :: !arith
-              else incr reused (* untouched: last result stands as-is *))
+              if upstream_untimed net then begin
+                Hashtbl.replace untimed net ();
+                blocked := net :: !blocked
+              end
+              else begin
+                let tuple = compute_arrival t net in
+                let changed =
+                  match Hashtbl.find_opt t.arrival net with
+                  | Some old -> old <> tuple
+                  | None -> true
+                in
+                if changed then Hashtbl.replace t.arrival net tuple;
+                let _, _, slew, _ = tuple in
+                let dres = driver_res_of t net in
+                let need =
+                  match Hashtbl.find_opt t.memo net with
+                  | None -> true
+                  | Some m ->
+                    (not m.m_valid) || m.m_slew <> slew || m.m_driver_res <> dres
+                in
+                if need then solves := (net, slew, dres) :: !solves
+                else if changed then arith := net :: !arith
+                else incr reused (* untouched: last result stands as-is *)
+              end)
             wave;
           let solves = Array.of_list (List.rev !solves) in
           let n = Array.length solves in
           if n > 0 then begin
-            (* identical chunking, view freeze, shard and window
-               discipline to [analyze]'s wave loop *)
-            let view = cache_view t.cache in
+            (* Freeze the cache view once per wave: every task sees
+               exactly the entries published by earlier waves.  The
+               sorted solve list splits into contiguous chunks, one per
+               pool slot, so dispatch, stats-window and shard overhead
+               amortize over many solves. *)
+            let view = Option.map cache_view t.cache in
             let nchunks =
               let j = Parallel.jobs pool in
               if j <= 1 then 1 else Stdlib.min n j
             in
             let bounds = Array.init (nchunks + 1) (fun i -> i * n / nchunks) in
+            (* per-chunk failure label, updated as the chunk advances so
+               an unexpected exception is attributed to the exact net it
+               escaped from *)
             let labels =
               Array.init nchunks (fun ci ->
                   let net, _, _ = solves.(bounds.(ci)) in
@@ -357,7 +407,7 @@ let retime_now t =
                 pool
                 (fun ci () ->
                   let lo = bounds.(ci) and hi = bounds.(ci + 1) in
-                  let shard = cache_shard () in
+                  let shard = Option.map (fun _ -> cache_shard ()) view in
                   Awe.Stats.scoped (fun () ->
                       let outcomes = Array.make (hi - lo) (Error "") in
                       for k = 0 to hi - lo - 1 do
@@ -366,8 +416,8 @@ let retime_now t =
                         outcomes.(k) <-
                           (match
                              solve_net d ~model:t.model ~sparse:t.sparse
-                               ~reduce:t.reduce ~view:(Some view)
-                               ~shard:(Some shard) ~net ~driver_res:dres ~slew
+                               ~reduce:t.reduce ~view ~shard ~net
+                               ~driver_res:dres ~slew
                            with
                           | r -> Ok r
                           | exception Malformed msg -> Error msg)
@@ -375,39 +425,37 @@ let retime_now t =
                       (outcomes, shard)))
                 (Array.make nchunks ())
             in
+            (* record in chunk order, i.e. sorted net order: stats
+               windows merge commutatively, and shards absorbed in
+               chunk order replay publications in exactly the order a
+               sequential sweep makes them *)
             Array.iteri
               (fun ci ((outcomes, shard), window) ->
                 windows := window :: !windows;
-                cache_absorb t.cache shard;
+                (match (t.cache, shard) with
+                | Some c, Some sh -> cache_absorb c sh
+                | _ -> ());
                 Array.iteri
                   (fun k outcome ->
                     let net, slew, dres = solves.(bounds.(ci) + k) in
                     match outcome with
-                    | Error msg -> raise (Malformed msg)
+                    | Error msg ->
+                      if strict then raise (Malformed msg);
+                      Hashtbl.replace untimed net ();
+                      failures := { failed_net = net; reason = msg } :: !failures
                     | Ok (timings, keys) ->
                       incr dirty;
                       Hashtbl.replace solved net ();
-                      let m =
-                        match Hashtbl.find_opt t.memo net with
-                        | Some m -> m
-                        | None ->
-                          let m =
-                            { m_valid = false;
-                              m_slew = 0.;
-                              m_driver_res = 0.;
-                              m_timings = [];
-                              m_keys = no_keys }
-                          in
-                          Hashtbl.replace t.memo net m;
-                          m
-                      in
                       claim_keys t keys;
-                      retire_keys t m.m_keys;
-                      m.m_valid <- true;
-                      m.m_slew <- slew;
-                      m.m_driver_res <- dres;
-                      m.m_timings <- timings;
-                      m.m_keys <- keys;
+                      (match Hashtbl.find_opt t.memo net with
+                      | Some m -> retire_keys t m.m_keys
+                      | None -> ());
+                      Hashtbl.replace t.memo net
+                        { m_valid = true;
+                          m_slew = slew;
+                          m_driver_res = dres;
+                          m_timings = timings;
+                          m_keys = keys };
                       if rebuild_net t net timings then
                         Hashtbl.replace timing_changed net ())
                   outcomes)
@@ -425,19 +473,25 @@ let retime_now t =
     rebuild_endpoints t;
     t.endpoints_stale <- false
   end;
-  (* backward: [analyze]'s min-plus pass over the dirty frontier.
-     Visits are seeded by re-solved nets, intrinsic/endpoint seeds,
-     and propagate upstream only while a net's driver requirement
-     actually changed (bitwise).  The recomputed values are the same
-     deterministic function [analyze] evaluates, so skipped nets hold
-     exactly the values a full pass would rewrite. *)
+  (* backward: required times flow from the endpoints toward the
+     inputs, in reverse wave order so each net's downstream
+     requirements are final when it is visited — the min-plus dual of
+     the forward max-plus pass.  The requirement binds at a net's sink
+     pins, or at its driver pin when it is a sinkless leaf; through a
+     sink gate it is the output requirement less the intrinsic, across
+     a net the sink requirement less that sink's wire delay, min'ed
+     over sinks, per transition.  After the first pass, visits are
+     seeded by re-solved nets and intrinsic/endpoint seeds, and
+     propagate upstream only while a net's driver requirement actually
+     changed (bitwise); skipped nets hold exactly the values a full
+     pass would rewrite. *)
   let min2 (a, b) (c, e) = (Float.min a c, Float.min b e) in
   let inf2 = (infinity, infinity) in
   let changed_req : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let slack_dirty : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let visit net =
     match Hashtbl.find_opt t.timed net with
-    | None -> ()
+    | None -> () (* failed / untimed: no requirements to propagate *)
     | Some nt ->
       let ep2 =
         match Hashtbl.find_opt t.endpoint_req net with
@@ -467,7 +521,7 @@ let retime_now t =
       in
       let dr =
         match sink_reqs with
-        | [] -> ep2
+        | [] -> ep2 (* sinkless leaf: the constraint binds the driver pin *)
         | _ ->
           List.fold_left
             (fun acc (st, (rr, rf)) ->
@@ -504,9 +558,9 @@ let retime_now t =
         wave)
     (List.rev t.waves);
   Hashtbl.reset t.req_seed;
-  (* slack entries: rebuilt per dirty net with [analyze]'s exact emit
-     logic; the global sort key (slack, net, pin) is unique per pin,
-     so assembling from per-net buckets reproduces the sorted list. *)
+  (* per-pin slacks at the binding transition, rebuilt per dirty net;
+     the global sort key (slack, net, pin) is unique per pin, so
+     assembling from per-net buckets yields one sorted list *)
   let rebuild_slack net =
     match Hashtbl.find_opt t.timed net with
     | None -> Hashtbl.remove t.slack_by_net net
@@ -523,6 +577,8 @@ let retime_now t =
           :: !entries
       in
       let binding ~pin ~ar ~af (rr, rf) =
+        (* the binding transition is the one with less slack; ties go
+           to rise.  Skip unconstrained pins (both infinite). *)
         let sr = rr -. ar and sf = rf -. af in
         if Float.is_finite sf && sf < sr then
           emit ~pin ~transition:Fall ~arrival:af ~required:rf
@@ -558,8 +614,8 @@ let retime_now t =
            compare (a.sp_slack, a.sp_net, a.sp_pin) (b.sp_slack, b.sp_net, b.sp_pin))
   in
   let worst_slack = match slacks with [] -> infinity | s :: _ -> s.sp_slack in
-  (* critical selection: same candidate order, same strict-[>]
-     tie-break as [analyze] *)
+  (* critical arrival over primary outputs (or all nets if none are
+     marked), strict [>] in candidate order *)
   let critical_arrival, critical_net =
     List.fold_left
       (fun (acc, accn) net ->
@@ -583,26 +639,90 @@ let retime_now t =
       | None -> [ net ])
   in
   let nets = List.filter_map (Hashtbl.find_opt t.timed) (net_names d) in
-  let edits = t.pending in
-  Awe.Stats.record_eco ~edits ~dirty_nets:!dirty ~reused_nets:!reused
-    ~full_fallbacks:0;
-  t.tot_retimes <- t.tot_retimes + 1;
-  t.tot_dirty <- t.tot_dirty + !dirty;
-  t.tot_reused <- t.tot_reused + !reused;
+  let failures =
+    List.rev_append !failures
+      (List.map
+         (fun net ->
+           { failed_net = net; reason = "not timed: an upstream net failed" })
+         (List.sort compare !blocked))
+  in
   let stats = List.fold_left Awe.Stats.merge Awe.Stats.zero (List.rev !windows) in
+  (* the cache's heap footprint, measured once so merged stats report
+     the final size, not a sum of samples *)
   let stats =
-    Awe.Stats.merge stats
-      { Awe.Stats.zero with
-        Awe.Stats.cache_bytes = cache_bytes t.cache;
-        eco_edits = edits;
-        eco_dirty_nets = !dirty;
-        eco_reused_nets = !reused }
+    match t.cache with
+    | Some c ->
+      Awe.Stats.merge stats
+        { Awe.Stats.zero with Awe.Stats.cache_bytes = cache_bytes c }
+    | None -> stats
   in
-  let report =
-    { nets; critical_arrival; critical_path; slacks; worst_slack; failures = [];
-      stats }
+  ( { nets; critical_arrival; critical_path; slacks; worst_slack; failures; stats },
+    !dirty,
+    !reused )
+
+(* Build the engine over a design: the up-front reference checks, then
+   the connectivity tables.  Nothing is timed yet. *)
+let engine ~model ~sparse ~jobs ~reduce ~cache (d : design) =
+  let details = gate_details d in
+  List.iter
+    (fun (inst, _cell, inputs, output) ->
+      List.iter
+        (fun net ->
+          if net_segments d net = None then
+            fail "gate %s references unknown net %s" inst net)
+        (output :: inputs))
+    details;
+  let t =
+    { d;
+      model;
+      sparse;
+      reduce;
+      jobs;
+      cache;
+      gate_tbl = Hashtbl.create 256;
+      driver_tbl = Hashtbl.create 256;
+      waves = [];
+      schedule_valid = false;
+      memo = Hashtbl.create 256;
+      arrival = Hashtbl.create 256;
+      timed = Hashtbl.create 256;
+      sink_results = Hashtbl.create 256;
+      req_driver = Hashtbl.create 256;
+      req_sink = Hashtbl.create 256;
+      endpoint_req = Hashtbl.create 8;
+      endpoints_stale = true;
+      slack_by_net = Hashtbl.create 64;
+      exact_refs = Hashtbl.create 256;
+      pattern_refs = Hashtbl.create 64;
+      req_seed = Hashtbl.create 16;
+      undo = [];
+      undo_saved = [];
+      rollback = [];
+      pending = 0;
+      last_report = None;
+      tot_edits = 0;
+      tot_retimes = 0;
+      tot_dirty = 0;
+      tot_reused = 0;
+      tot_fallbacks = 0 }
   in
-  t.last_report <- Some report;
+  List.iter
+    (fun (inst, cell, inputs, output) ->
+      (match Hashtbl.find_opt t.driver_tbl output with
+      | Some other -> fail "net %s is driven by both %s and %s" output other inst
+      | None -> ());
+      if primary_input d output <> None then
+        fail "net %s is both a primary input and the output of gate %s" output
+          inst;
+      Hashtbl.replace t.driver_tbl output inst;
+      Hashtbl.replace t.gate_tbl inst
+        { gi_cell = cell; gi_inputs = inputs; gi_output = output })
+    details;
+  t
+
+let analyze ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(strict = true)
+    ?(reduce = true) ?cache d =
+  let report, _, _ = pass ~strict (engine ~model ~sparse ~jobs ~reduce ~cache d) in
   report
 
 (* --- edits --------------------------------------------------------- *)
@@ -748,6 +868,28 @@ let rec apply_edit t edit =
 
 (* --- session lifecycle -------------------------------------------- *)
 
+(* A session re-time: one pass, plus the ECO counters — recorded only
+   here, so a cold [analyze] reports none. *)
+let retime_now t =
+  let report, dirty, reused = pass ~strict:true t in
+  let edits = t.pending in
+  Awe.Stats.record_eco ~edits ~dirty_nets:dirty ~reused_nets:reused
+    ~full_fallbacks:0;
+  t.tot_retimes <- t.tot_retimes + 1;
+  t.tot_dirty <- t.tot_dirty + dirty;
+  t.tot_reused <- t.tot_reused + reused;
+  let report =
+    { report with
+      stats =
+        Awe.Stats.merge report.stats
+          { Awe.Stats.zero with
+            Awe.Stats.eco_edits = edits;
+            eco_dirty_nets = dirty;
+            eco_reused_nets = reused } }
+  in
+  t.last_report <- Some report;
+  report
+
 let reset_analysis t =
   Hashtbl.reset t.memo;
   Hashtbl.reset t.arrival;
@@ -760,7 +902,7 @@ let reset_analysis t =
   Hashtbl.reset t.exact_refs;
   Hashtbl.reset t.pattern_refs;
   Hashtbl.reset t.req_seed;
-  t.cache <- create_cache ();
+  t.cache <- Some (create_cache ());
   t.schedule_valid <- false;
   t.endpoints_stale <- true;
   t.last_report <- None
@@ -830,62 +972,7 @@ let create ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(reduce = true)
     (d : design) =
   if jobs < 0 then
     invalid_arg "Sta.Session.create: jobs must be non-negative";
-  let details = gate_details d in
-  (* same upfront reference validation as [analyze], same order *)
-  List.iter
-    (fun (inst, _cell, inputs, output) ->
-      List.iter
-        (fun net ->
-          if net_segments d net = None then
-            fail "gate %s references unknown net %s" inst net)
-        (output :: inputs))
-    details;
-  let t =
-    { d;
-      model;
-      sparse;
-      reduce;
-      jobs;
-      cache = create_cache ();
-      gate_tbl = Hashtbl.create 256;
-      driver_tbl = Hashtbl.create 256;
-      waves = [];
-      schedule_valid = false;
-      memo = Hashtbl.create 256;
-      arrival = Hashtbl.create 256;
-      timed = Hashtbl.create 256;
-      sink_results = Hashtbl.create 256;
-      req_driver = Hashtbl.create 256;
-      req_sink = Hashtbl.create 256;
-      endpoint_req = Hashtbl.create 8;
-      endpoints_stale = true;
-      slack_by_net = Hashtbl.create 64;
-      exact_refs = Hashtbl.create 256;
-      pattern_refs = Hashtbl.create 64;
-      req_seed = Hashtbl.create 16;
-      undo = [];
-      undo_saved = [];
-      rollback = [];
-      pending = 0;
-      last_report = None;
-      tot_edits = 0;
-      tot_retimes = 0;
-      tot_dirty = 0;
-      tot_reused = 0;
-      tot_fallbacks = 0 }
-  in
-  List.iter
-    (fun (inst, cell, inputs, output) ->
-      (match Hashtbl.find_opt t.driver_tbl output with
-      | Some other -> fail "net %s is driven by both %s and %s" output other inst
-      | None -> ());
-      if primary_input d output <> None then
-        fail "net %s is both a primary input and the output of gate %s" output
-          inst;
-      Hashtbl.replace t.driver_tbl output inst;
-      Hashtbl.replace t.gate_tbl inst
-        { gi_cell = cell; gi_inputs = inputs; gi_output = output })
-    details;
+  let t = engine ~model ~sparse ~jobs ~reduce ~cache:(Some (create_cache ())) d in
   ignore (retime_now t);
   commit t;
   t
@@ -896,7 +983,7 @@ let report t = Option.get t.last_report
 
 let pending_edits t = t.pending
 
-let cache t = t.cache
+let cache t = Option.get t.cache
 
 let totals t =
   { total_edits = t.tot_edits;

@@ -1,28 +1,36 @@
-(** Incremental ECO timing sessions.
+(** The timing engine, and incremental ECO sessions on top of it.
 
-    A session loads a design once — connectivity tables, Kahn wave
-    schedule, full initial analysis against a private structure cache
-    — then accepts a stream of typed {!edit}s and re-times only the
-    {e dirty cone}: a net is re-solved exactly when its own content
-    changed (wire values or topology, sink pin caps, driver strength)
-    or its input slew changed bitwise; everything else is served from
-    the per-net memo, and arrival changes propagate forward only while
-    a net's timing tuple actually changed (bitwise).  The min-plus
-    required-time/slack pass back-propagates over the same frontier.
+    The engine keeps, per net, its arrival tuple, solved sink delays,
+    required times and slack entries, plus the memo inputs its solve
+    depended on.  One pass walks the Kahn wave schedule: it re-solves
+    exactly the nets whose own content changed (wire values or
+    topology, sink pin caps, driver strength) or whose input slew
+    changed bitwise; everything else is served from the per-net memo,
+    and arrival changes propagate forward only while a net's timing
+    tuple actually changed (bitwise).  The min-plus required-time/slack
+    pass back-propagates over the same frontier.  A cold analysis
+    ({!analyze}, i.e. [Sta.analyze]) is the pass in which every net is
+    dirty.
+
+    A session loads a design once — connectivity tables, wave
+    schedule, one all-dirty pass against a private structure cache —
+    then accepts a stream of typed {!edit}s and re-times only the
+    {e dirty cone}.
 
     {b Bit-identity contract.}  After any sequence of applied edits,
     {!retime}'s report has bit-identical [nets], [critical_arrival],
     [critical_path], [slacks], [worst_slack] and [failures] to a cold
-    {!Timing.analyze} of the edited design, for every [jobs] value
-    (dirty-cone waves reuse the chunked pool and sharded publication
-    of [analyze]); only [stats] differs — it reports the incremental
-    work actually done (the [eco_*] counters) instead of the cold
-    solve counts.  The session cache's {!Timing.cache_fingerprint} is
-    kept equal to what a cold cached analyze of the {e current} design
-    would publish, by refcounting each live net's cache keys and
-    retiring entries at refcount zero — so edit-then-revert restores
-    the original fingerprint exactly.  See THEORY.md, "Incremental
-    timing and dirty cones".
+    [Sta.analyze] of the edited design, for every [jobs] value: both
+    are passes of this engine, and a value a dirty-cone pass skips is
+    the one an all-dirty pass would rewrite.  Only [stats] differs — it
+    reports the incremental work actually done (the [eco_*] counters,
+    recorded only by sessions) instead of the cold solve counts.  The
+    session cache's {!Timing.cache_fingerprint} is kept equal to what a
+    cold cached analyze of the {e current} design would publish, by
+    refcounting each live net's cache keys and retiring entries at
+    refcount zero — so edit-then-revert restores the original
+    fingerprint exactly.  See THEORY.md, "Incremental timing and dirty
+    cones".
 
     Sessions are strict: a failing net rolls the session back to the
     last successfully-timed state (a {e full fallback}: the design
@@ -66,6 +74,20 @@ type totals = {
 
 type t
 
+val analyze :
+  ?model:Timing.delay_model ->
+  ?sparse:bool ->
+  ?jobs:int ->
+  ?strict:bool ->
+  ?reduce:bool ->
+  ?cache:Timing.cache ->
+  Timing.design ->
+  Timing.report
+(** Cold analysis: build the engine over the design and run one pass
+    with every net dirty, against the caller's [cache] or none.  No
+    session state survives it and no [eco_*] counter is recorded.
+    Re-exported, and documented, as [Sta.analyze]. *)
+
 val create :
   ?model:Timing.delay_model ->
   ?sparse:bool ->
@@ -74,18 +96,14 @@ val create :
   Timing.design ->
   t
 (** Load a design: build connectivity tables and the wave schedule,
-    then run the full initial analysis (a cold [analyze] against the
-    session's fresh cache).  The session owns the design — callers
-    must not mutate it behind the session's back.  Raises what
-    [analyze] raises ([Malformed], [Not_a_dag], [Invalid_argument] on
-    negative [jobs]); additionally rejects ([Malformed]) designs where
-    a net has several drivers or a primary input is also a gate output
-    — multi-driver anomalies [analyze] resolves by declaration-order
-    accident, which a persistent session refuses to depend on. *)
+    then run one all-dirty pass against the session's fresh cache.
+    The session owns the design — callers must not mutate it behind
+    the session's back.  Raises what [Sta.analyze] raises ([Malformed],
+    [Not_a_dag]), and [Invalid_argument] on negative [jobs]. *)
 
 val design : t -> Timing.design
 (** The session's (edited) design — the exact object a scratch
-    [analyze] must agree with. *)
+    [Sta.analyze] must agree with. *)
 
 val apply : t -> edit -> (unit, string) result
 (** Validate and apply one edit.  [Error] leaves the session (and the
@@ -121,7 +139,7 @@ val revert_all : t -> int
 
 val cache : t -> Timing.cache
 (** The session's structure cache, for fingerprinting — equal, as a
-    key set, to what a cold cached [analyze] of the current design
+    key set, to what a cold cached [Sta.analyze] of the current design
     publishes. *)
 
 val totals : t -> totals

@@ -288,24 +288,21 @@ let sinks_of (d : design) net = List.filter (fun g -> List.mem net g.inputs) d.g
    Selection is by strict [>], first-seen wins, so the order is part of
    the tie-break contract: primary outputs in raw (newest-first)
    declaration order, or every declared net in the net table's
-   enumeration order when none are marked.  Exposed so the Session
-   layer's incremental critical recomputation ties exactly like
-   [analyze]. *)
+   enumeration order when none are marked. *)
 let critical_candidates (d : design) =
   if d.pos = [] then Hashtbl.fold (fun k _ acc -> k :: acc) d.nets []
   else d.pos
 
-let driver_of (d : design) net = List.find_opt (fun g -> g.output = net) d.gates
-
 (* --- the net-level timing DAG, exported for fixpoint passes -------- *)
 
-(* Sta.analyze orders its Kahn waves over exactly this graph: one
-   vertex per referenced net name (declared nets, PI/PO/constraint
-   targets, and every gate pin), one edge from each input net of a
-   gate to its output net.  The lint layer's backward passes
-   (constraint coverage, dominated constraints) and the cycle check
-   run over it; building it is one pass over the gates, so it is safe
-   to rebuild per analysis. *)
+(* One vertex per referenced net name (declared nets, PI/PO/constraint
+   targets, and every gate pin), one edge from each distinct input net
+   of a gate to its output net: the edges the engine's wave schedule
+   levels declared nets along (Session builds them from its own
+   connectivity tables).  This graph also tolerates cycles and
+   undeclared names, so the lint layer's cycle check and backward
+   passes (constraint coverage, dominated constraints) run over it
+   before any timing does.  Building it is one pass over the gates. *)
 module Dag = struct
   type t = {
     nets : string array;  (* sorted, unique *)
@@ -405,12 +402,12 @@ let net_circuit (d : design) ~net ~driver_res ~slew =
    interconnect templates thousands of times; the cache lets the
    analysis done for one instance serve every relabeled copy.
 
-   Exact tier: the whole per-net result — the fitted engine and each
-   sink's (delay, slew) keyed by sink node id.  The key folds in
-   everything the numbers depend on beyond the circuit: delay model,
-   threshold, vdd, input slew, sparse flag, and the ordered sink node
-   ids (a zero-cap sink adds no element, so the sink set is not
-   derivable from the circuit alone).  The guard signature makes a hit
+   Exact tier: the whole per-net result — each sink's (delay, slew)
+   keyed by sink node id.  The key folds in everything the numbers
+   depend on beyond the circuit: delay model, threshold, vdd, input
+   slew, sparse flag, and the ordered sink node ids (a zero-cap sink
+   adds no element, so the sink set is not derivable from the circuit
+   alone).  The guard signature makes a hit
    sound and bit-exact: equal signatures mean the instance stamps an
    MNA system identical entry for entry, so the cached numbers are the
    ones recomputation would produce.  A merely isomorphic instance
@@ -423,11 +420,6 @@ let net_circuit (d : design) ~net ~driver_res ~slew =
    bit-identical to an uncached run. *)
 
 type cache_payload = {
-  cp_engine : Awe.engine;
-      (* factors, moment sequences and fitted models of the first
-         instance.  Kept so the whole reduced model survives with the
-         entry; hits are served from [cp_sinks] and never mutate it
-         (it is shared across domains). *)
   cp_sinks : (Circuit.Element.node * (float * float * float)) list;
       (* sink node id -> (rise delay, fall delay, slew); complete for
          any instance that passes the guard, because the signature
@@ -453,10 +445,10 @@ let create_cache ?patterns () : cache = Awe.Cache.create ?patterns ()
 let cache_fingerprint (c : cache) =
   (Awe.Cache.exact_keys c, Awe.Cache.symbolic_keys c)
 
-(* Narrow wrappers over the abstract [cache] so the Session layer can
-   run the exact per-wave freeze/shard/absorb discipline [analyze]
-   uses, and retire entries its refcounts prove dead, without the
-   payload type escaping this module. *)
+(* Narrow wrappers over the abstract [cache] so the engine (Session)
+   can run its per-wave freeze/shard/absorb discipline, and retire
+   entries its refcounts prove dead, without the payload type escaping
+   this module. *)
 
 type cache_view = cache_payload Awe.Cache.view
 
@@ -519,7 +511,7 @@ let cache_keys (d : design) ~model ~options ~slew ~circuit ~sink_nodes =
    one slew serves both transitions.)
 
    Returns [(sink_inst, rise_delay, fall_delay, slew)] per sink, plus
-   the engine. *)
+   the symbolic sparse analysis the factorization used (if any). *)
 let compute_sink_timings (d : design) ~model ~options ~symbolic ~net ~slew
     ~circuit ~sink_nodes =
   let threshold_v = d.threshold *. d.vdd in
@@ -600,7 +592,7 @@ let compute_sink_timings (d : design) ~model ~options ~symbolic ~net ~slew
             (inst, delay, delay_fall, slew))
           sink_nodes
     in
-    (timings, engine)
+    (timings, Awe.Engine.symbolic engine)
   with
   (* funnel sparse-layer singularities into the STA's own error
      vocabulary: the stage circuit's node names are net-local, so the
@@ -615,9 +607,12 @@ let compute_sink_timings (d : design) ~model ~options ~symbolic ~net ~slew
    from the {e frozen-view} verdict alone: whether a chunk-mate's
    shard entry happened to short-circuit the work is an execution
    detail that must not (and does not) show up in any counter, or the
-   counters would vary with the chunking and therefore with [jobs]. *)
-let net_sink_timings_keyed (d : design) ~model ~options ~reduce ~view ~shard
-    ~net ~driver_res ~slew =
+   counters would vary with the chunking and therefore with [jobs].
+   Also returns the cache keys the lookup used, so the engine can
+   refcount live entries. *)
+let solve_net (d : design) ~model ~sparse ~reduce ~view ~shard ~net ~driver_res
+    ~slew =
+  let options = { Awe.default_options with Awe.sparse } in
   (* the Elmore model analyzes the ideal-step drive; the AWE models the
      actual (possibly ramped) excitation *)
   let wire_slew =
@@ -652,7 +647,7 @@ let net_sink_timings_keyed (d : design) ~model ~options ~reduce ~view ~shard
     in
     match view with
     | None ->
-      let timings, _engine =
+      let timings, _symbolic =
         compute_sink_timings d ~model ~options ~symbolic:None ~net ~slew
           ~circuit ~sink_nodes
       in
@@ -666,24 +661,17 @@ let net_sink_timings_keyed (d : design) ~model ~options ~reduce ~view ~shard
           sk_pattern = (if options.Awe.sparse then Some pattern else None) }
       in
       (* serve a whole net from a payload (view or shard tier): equal
-         signatures fix the sink node ids, so the cached per-node
-         numbers are the ones recomputation would produce *)
+         signatures fix the sink node ids, so every sink has its
+         cached per-node numbers — the ones recomputation would
+         produce *)
       let serve payload =
         List.map
           (fun (inst, node) ->
             match List.assoc_opt node payload.cp_sinks with
             | Some (dly, dlf, slw) -> (inst, dly, dlf, slw)
             | None ->
-              (* unreachable: equal signatures fix the sink node set.
-                 Kept total by re-deriving a single-pole answer from
-                 the cached engine's (already computed) moments. *)
-              let tau =
-                Float.max (Awe.Engine.elmore payload.cp_engine ~node) 1e-15
-              in
-              ( inst,
-                (-.tau *. log (1. -. d.threshold)) +. (0.5 *. slew),
-                (-.tau *. log d.threshold) +. (0.5 *. slew),
-                tau *. log 9. ))
+              malformed "net %s: cache entry has no timing for sink %s" net
+                inst)
           sink_nodes
       in
       match Awe.Cache.find_exact v ~hash:exact_hash ~signature with
@@ -740,12 +728,11 @@ let net_sink_timings_keyed (d : design) ~model ~options ~reduce ~view ~shard
             | None -> shard_candidate
           in
           let before = Awe.Stats.snapshot () in
-          let timings, engine =
+          let timings, used =
             compute_sink_timings d ~model ~options ~symbolic:candidate ~net
               ~slew ~circuit ~sink_nodes
           in
           let work = Awe.Stats.diff (Awe.Stats.snapshot ()) before in
-          let used = Awe.Engine.symbolic engine in
           let reused_from_view =
             match (used, view_candidate) with
             | Some u, Some s -> u == s
@@ -754,8 +741,7 @@ let net_sink_timings_keyed (d : design) ~model ~options ~reduce ~view ~shard
           if reused_from_view then Awe.Stats.record_cache_pattern_hit ()
           else Awe.Stats.record_cache_miss ();
           let payload =
-            { cp_engine = engine;
-              cp_sinks =
+            { cp_sinks =
                 List.map2
                   (fun (_, node) (_, dly, dlf, slw) -> (node, (dly, dlf, slw)))
                   sink_nodes timings;
@@ -774,425 +760,6 @@ let net_sink_timings_keyed (d : design) ~model ~options ~reduce ~view ~shard
               Awe.Cache.Shard.publish_symbolic sh ~hash:pattern u
             | _ -> ()));
           (timings, keys)))
-
-let net_sink_timings (d : design) ~model ~options ~reduce ~view ~shard ~net
-    ~driver_res ~slew =
-  fst
-    (net_sink_timings_keyed d ~model ~options ~reduce ~view ~shard ~net
-       ~driver_res ~slew)
-
-(* The Session layer's entry to the per-net solver: identical to what
-   [analyze] runs per net (same options derivation, same cache
-   discipline), plus the cache keys the lookup used so the session can
-   refcount live entries. *)
-let solve_net (d : design) ~model ~sparse ~reduce ~view ~shard ~net ~driver_res
-    ~slew =
-  let options = { Awe.default_options with Awe.sparse } in
-  net_sink_timings_keyed d ~model ~options ~reduce ~view ~shard ~net
-    ~driver_res ~slew
-
-let analyze ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(strict = true)
-    ?(reduce = true) ?cache (d : design) =
-  let options = { Awe.default_options with Awe.sparse } in
-  (* topological order over nets *)
-  let gates = List.rev d.gates in
-  List.iter
-    (fun g ->
-      List.iter
-        (fun net ->
-          if not (Hashtbl.mem d.nets net) then
-            malformed "gate %s references unknown net %s" g.inst net)
-        (g.output :: g.inputs))
-    gates;
-  (* net is ready when its driver's inputs are all timed; PIs are roots *)
-  let arrival_at_net :
-      (string, float * float * float * string list) Hashtbl.t =
-    (* net -> driver-pin rise arrival, fall arrival, slew, path (nets,
-       source first).  Fall arrivals ride along the rise-worst path:
-       input selection is by rise arrival, so both transitions
-       telescope along the same net sequence (see the backward pass). *)
-    Hashtbl.create 16
-  in
-  Hashtbl.iter
-    (fun net pi ->
-      Hashtbl.replace arrival_at_net net
-        (pi.pi_arrival, pi.pi_arrival, pi.pi_slew, [ net ]))
-    d.pis;
-  let timed : (string, net_timing) Hashtbl.t = Hashtbl.create 16 in
-  let sink_results : (string * string, sink_timing) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let merged_stats = ref Awe.Stats.zero in
-  let failures = ref [] in
-  (* bookkeeping half of timing one net: publish sink timings and
-     propagate arrivals through the sink gates.  Runs sequentially, in
-     sorted net order, on the calling domain. *)
-  let record_net net driver_arrival driver_arrival_fall timings =
-    let sinks =
-      List.map
-        (fun (inst, delay, delay_fall, sink_slew) ->
-          let st =
-            { sink_inst = inst;
-              net_delay = delay;
-              net_delay_fall = delay_fall;
-              sink_slew;
-              arrival = driver_arrival +. delay;
-              arrival_fall = driver_arrival_fall +. delay_fall }
-          in
-          Hashtbl.replace sink_results (net, inst) st;
-          st)
-        timings
-    in
-    Hashtbl.replace timed net
-      { net_name = net; driver_arrival; driver_arrival_fall; sinks };
-    (* propagate through sink gates *)
-    List.iter
-      (fun g ->
-        match Hashtbl.find_opt sink_results (net, g.inst) with
-        | None -> ()
-        | Some _ ->
-          (* gate output net arrival = max over timed inputs + intrinsic;
-             only update when all inputs are timed *)
-          let all_inputs_timed =
-            List.for_all
-              (fun inp -> Hashtbl.mem sink_results (inp, g.inst))
-              g.inputs
-          in
-          if all_inputs_timed then begin
-            let worst, worst_net =
-              List.fold_left
-                (fun (acc, accn) inp ->
-                  let s = Hashtbl.find sink_results (inp, g.inst) in
-                  if s.arrival > acc then (s.arrival, inp) else (acc, accn))
-                (neg_infinity, net) g.inputs
-            in
-            let worst_sink = Hashtbl.find sink_results (worst_net, g.inst) in
-            let _, _, _, worst_path =
-              match Hashtbl.find_opt arrival_at_net worst_net with
-              | Some v -> v
-              | None -> (0., 0., 0., [])
-            in
-            Hashtbl.replace arrival_at_net g.output
-              ( worst +. g.cell.intrinsic,
-                worst_sink.arrival_fall +. g.cell.intrinsic,
-                worst_sink.sink_slew,
-                (g.output :: worst_path) )
-          end)
-      (sinks_of d net)
-  in
-  (* Kahn-style scheduling over nets, one wave at a time.  All nets of
-     a wave are ready simultaneously — their driver arrivals and slews
-     were frozen by earlier waves — so the expensive per-net solve
-     (MNA build, factorization, moment fits) is a pure function of the
-     wave-start state and fans out across the pool.  The wave's sorted
-     net list is split into contiguous chunks, one task per chunk (not
-     per net), so dispatch, DLS window and cache-shard overhead
-     amortize over many solves.  Results are recorded sequentially in
-     sorted net order, so reports and merged counters are
-     bit-identical to a sequential run for any [jobs]. *)
-  let all_nets = Hashtbl.fold (fun k _ acc -> k :: acc) d.nets [] in
-  let remaining = ref (List.sort compare all_nets) in
-  (* wave retirement order, newest wave first: the backward
-     required-time pass walks it as-is, so every net is visited after
-     all nets downstream of it (they retired in later waves) *)
-  let retired = ref [] in
-  Parallel.with_pool ~jobs (fun pool ->
-      let progress = ref true in
-      while !remaining <> [] && !progress do
-        progress := false;
-        let ready, blocked =
-          List.partition (fun net -> Hashtbl.mem arrival_at_net net) !remaining
-        in
-        if ready <> [] then begin
-          progress := true;
-          (* Freeze the cache view once per wave: every task of the
-             wave — on any domain, in any order — sees exactly the
-             entries published by earlier waves, so lookups, counters
-             and numeric results are independent of scheduling and of
-             [jobs]. *)
-          let view = Option.map Awe.Cache.view cache in
-          let prep =
-            Array.of_list
-              (List.map
-                 (fun net ->
-                   let driver_arrival, driver_fall, slew, _path =
-                     Hashtbl.find arrival_at_net net
-                   in
-                   let driver_res =
-                     match driver_of d net with
-                     | Some g -> g.cell.drive_res
-                     | None ->
-                       if Hashtbl.mem d.pis net then 1e-3
-                         (* ideal primary input *)
-                       else malformed "net %s is undriven" net
-                   in
-                   (net, driver_arrival, driver_fall, slew, driver_res))
-                 ready)
-          in
-          (* contiguous chunks of the sorted wave, one per pool slot:
-             chunk ci covers [bounds.(ci), bounds.(ci + 1)).  Tasks
-             process their range in ascending (sorted) order, so each
-             shard's publication log is a contiguous slice of the
-             sequential publication order. *)
-          let n = Array.length prep in
-          let nchunks =
-            let j = Parallel.jobs pool in
-            if j <= 1 then 1 else Stdlib.min n j
-          in
-          let bounds = Array.init (nchunks + 1) (fun i -> i * n / nchunks) in
-          (* per-chunk failure label, updated as the chunk advances so
-             an unexpected exception is attributed to the exact net it
-             escaped from (each task writes only its own slot; the
-             funnel reads after the map's final hand-off) *)
-          let labels =
-            Array.init nchunks (fun ci ->
-                let net, _, _, _, _ = prep.(bounds.(ci)) in
-                "net " ^ net)
-          in
-          let chunk_results =
-            Parallel.mapi
-              ~label:(fun ci -> labels.(ci))
-              pool
-              (fun ci () ->
-                let lo = bounds.(ci) and hi = bounds.(ci + 1) in
-                (* private shard: wave-local publications accumulate
-                   here, lock-free, and intra-chunk duplicates of one
-                   template are served instead of recomputed *)
-                let shard =
-                  Option.map (fun _ -> Awe.Cache.Shard.create ()) view
-                in
-                Awe.Stats.scoped (fun () ->
-                    let outcomes = Array.make (hi - lo) (Error "") in
-                    for k = 0 to hi - lo - 1 do
-                      let net, _, _, slew, driver_res = prep.(lo + k) in
-                      labels.(ci) <- "net " ^ net;
-                      outcomes.(k) <-
-                        (match
-                           net_sink_timings d ~model ~options ~reduce ~view
-                             ~shard ~net ~driver_res ~slew
-                         with
-                        | timings -> Ok timings
-                        | exception Malformed msg -> Error msg)
-                    done;
-                    (outcomes, shard)))
-              (Array.make nchunks ())
-          in
-          Array.iteri
-            (fun ci ((outcomes, shard), window) ->
-              (* counter merge in chunk order: integer sums commute, so
-                 the total is independent of the chunking and of the
-                 schedule *)
-              merged_stats := Awe.Stats.merge !merged_stats window;
-              (* absorb shards in chunk order: chunks are contiguous
-                 sorted ranges and each log is in intra-chunk sorted
-                 order, so the replayed publication sequence is exactly
-                 the sorted net order a sequential sweep publishes in —
-                 first-wins then yields identical cache contents *)
-              (match (cache, shard) with
-              | Some c, Some sh -> Awe.Cache.absorb c sh
-              | _ -> ());
-              Array.iteri
-                (fun k outcome ->
-                  let net, driver_arrival, driver_fall, _, _ =
-                    prep.(bounds.(ci) + k)
-                  in
-                  match outcome with
-                  | Ok timings -> record_net net driver_arrival driver_fall timings
-                  | Error msg ->
-                    (* a failed net reports its diagnostic; siblings
-                       keep their (already computed) results either
-                       way *)
-                    if strict then raise (Malformed msg)
-                    else
-                      failures :=
-                        { failed_net = net; reason = msg } :: !failures)
-                outcomes)
-            chunk_results;
-          retired := ready :: !retired;
-          remaining := blocked
-        end
-      done);
-  if !remaining <> [] then begin
-    if !failures = [] then raise (Not_a_dag !remaining)
-    else
-      (* downstream of a failed net: nothing to time, but say why *)
-      List.iter
-        (fun net ->
-          failures :=
-            { failed_net = net; reason = "not timed: an upstream net failed" }
-            :: !failures)
-        !remaining
-  end;
-  (* critical arrival over primary outputs (or all sinks if none marked) *)
-  let candidate_nets = critical_candidates d in
-  let critical_arrival, critical_net =
-    List.fold_left
-      (fun (acc, accn) net ->
-        match Hashtbl.find_opt timed net with
-        | None -> (acc, accn)
-        | Some nt ->
-          let worst =
-            List.fold_left
-              (fun m s -> Float.max m s.arrival)
-              nt.driver_arrival nt.sinks
-          in
-          if worst > acc then (worst, Some net) else (acc, accn))
-      (neg_infinity, None) candidate_nets
-  in
-  let critical_path =
-    match critical_net with
-    | None -> []
-    | Some net -> (
-      match Hashtbl.find_opt arrival_at_net net with
-      | Some (_, _, _, path) -> List.rev path
-      | None -> [ net ])
-  in
-  (* ---- required-time back-propagation ----------------------------
-     Endpoints are the explicitly constrained nets, plus (when a clock
-     card set a default period) every unconstrained primary output.
-     The requirement applies at a net's sink pins — the points its
-     arrivals are measured at — or at the driver pin when the net is a
-     sinkless leaf (a primary-output stub).  Requirements then flow
-     backward per transition: through a sink gate, the gate's output
-     requirement less its intrinsic; across a net, the sink-pin
-     requirement less that sink's (per-transition) wire delay, min'ed
-     over sinks.  Walking nets in reverse wave-retirement order
-     guarantees each net's downstream requirements are final when it
-     is visited — the min-plus dual of the forward max-plus pass. *)
-  let endpoint_req : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun (net, t) -> Hashtbl.replace endpoint_req net t) (constraints d);
-  (match d.clock with
-  | None -> ()
-  | Some period ->
-    List.iter
-      (fun net ->
-        if not (Hashtbl.mem endpoint_req net) then
-          Hashtbl.replace endpoint_req net period)
-      (primary_output_nets d));
-  let gate_by_inst : (string, gate) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun g -> Hashtbl.replace gate_by_inst g.inst g) gates;
-  let driver_gate : (string, gate) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun g -> Hashtbl.replace driver_gate g.output g) gates;
-  let min2 (a, b) (c, e) = (Float.min a c, Float.min b e) in
-  let inf2 = (infinity, infinity) in
-  (* (rise, fall) required times at driver pins and sink pins *)
-  let req_driver : (string, float * float) Hashtbl.t = Hashtbl.create 16 in
-  let req_sink : (string * string, float * float) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let backward net =
-    match Hashtbl.find_opt timed net with
-    | None -> () (* failed / untimed: no requirements to propagate *)
-    | Some nt ->
-      let ep2 =
-        match Hashtbl.find_opt endpoint_req net with
-        | Some t -> (t, t)
-        | None -> inf2
-      in
-      let sink_reqs =
-        List.map
-          (fun st ->
-            let through =
-              match Hashtbl.find_opt gate_by_inst st.sink_inst with
-              | None -> inf2
-              | Some g -> (
-                match Hashtbl.find_opt req_driver g.output with
-                | None -> inf2
-                | Some (rr, rf) ->
-                  (rr -. g.cell.intrinsic, rf -. g.cell.intrinsic))
-            in
-            let rq = min2 ep2 through in
-            Hashtbl.replace req_sink (net, st.sink_inst) rq;
-            (st, rq))
-          nt.sinks
-      in
-      let dr =
-        match sink_reqs with
-        | [] -> ep2 (* sinkless leaf: the constraint binds the driver pin *)
-        | _ ->
-          List.fold_left
-            (fun acc (st, (rr, rf)) ->
-              min2 acc (rr -. st.net_delay, rf -. st.net_delay_fall))
-            inf2 sink_reqs
-      in
-      Hashtbl.replace req_driver net dr
-  in
-  List.iter (List.iter backward) !retired;
-  (* per-pin slacks at the binding transition, worst first *)
-  let slack_entries = ref [] in
-  let () =
-    let entries = slack_entries in
-    List.iter
-      (fun net ->
-        match Hashtbl.find_opt timed net with
-        | None -> ()
-        | Some nt ->
-          let emit ~pin ~transition ~arrival ~required =
-            entries :=
-              { sp_net = net;
-                sp_pin = pin;
-                sp_transition = transition;
-                sp_arrival = arrival;
-                sp_required = required;
-                sp_slack = required -. arrival }
-              :: !entries
-          in
-          let binding ~pin ~ar ~af (rr, rf) =
-            (* the binding transition is the one with less slack; ties
-               go to rise.  Skip unconstrained pins (both infinite). *)
-            let sr = rr -. ar and sf = rf -. af in
-            if Float.is_finite sf && sf < sr then
-              emit ~pin ~transition:Fall ~arrival:af ~required:rf
-            else if Float.is_finite sr then
-              emit ~pin ~transition:Rise ~arrival:ar ~required:rr
-          in
-          (match nt.sinks with
-          | [] -> (
-            match Hashtbl.find_opt req_driver net with
-            | Some rq ->
-              binding ~pin:None ~ar:nt.driver_arrival
-                ~af:nt.driver_arrival_fall rq
-            | None -> ())
-          | sinks ->
-            List.iter
-              (fun st ->
-                match Hashtbl.find_opt req_sink (net, st.sink_inst) with
-                | Some rq ->
-                  binding ~pin:(Some st.sink_inst) ~ar:st.arrival
-                    ~af:st.arrival_fall rq
-                | None -> ())
-              sinks))
-      (List.sort compare all_nets)
-  in
-  let slacks =
-    List.sort
-      (fun a b ->
-        compare
-          (a.sp_slack, a.sp_net, a.sp_pin)
-          (b.sp_slack, b.sp_net, b.sp_pin))
-      !slack_entries
-  in
-  let worst_slack =
-    match slacks with [] -> infinity | s :: _ -> s.sp_slack
-  in
-  (* the cache's heap footprint, measured once by the coordinator so
-     merged stats report the final size, not a sum of samples *)
-  (match cache with
-  | Some c ->
-    merged_stats :=
-      Awe.Stats.merge !merged_stats
-        { Awe.Stats.zero with Awe.Stats.cache_bytes = Awe.Cache.bytes c }
-  | None -> ());
-  let nets =
-    List.filter_map (Hashtbl.find_opt timed) (List.sort compare all_nets)
-  in
-  { nets;
-    critical_arrival;
-    critical_path;
-    slacks;
-    worst_slack;
-    failures = List.rev !failures;
-    stats = !merged_stats }
 
 (* ------------------------------------------------------------------ *)
 (* Top-K critical paths.  A pure function of (design, report): the
@@ -1351,14 +918,8 @@ let critical_paths (d : design) (r : report) ~k =
     (take k candidates)
 
 (* ------------------------------------------------------------------ *)
-(* Multi-corner analysis.  A corner derates element values but never
-   topology, so the N per-corner analyses share one pattern-tier store
-   (each corner keeps a private exact tier — exact keys are
-   value-sensitive).  Corners run sequentially, each with the full
-   wave-parallel fan-out of [analyze]: the result is bit-identical to
-   N independent [analyze] calls over [corner_design]s sharing a
-   patterns store, which is the determinism contract the differential
-   tests pin down. *)
+(* Multi-corner analysis: the derated design and the report types.
+   [Sta.analyze_corners] runs one cold analysis per [corner_design]. *)
 let corner_design (d : design) (c : Circuit.Corner.t) =
   let d' = create ~vdd:d.vdd ~threshold:d.threshold () in
   List.iter
@@ -1417,58 +978,6 @@ type corners_report = {
   worst_slack_overall : float;
   critical_arrival_overall : float;
 }
-
-let analyze_corners ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1)
-    ?(strict = true) ?(reduce = true) ?(cache = true) (d : design) corners =
-  if corners = [] then
-    invalid_arg "Sta.analyze_corners: need at least one corner";
-  let names = List.map (fun c -> c.Circuit.Corner.name) corners in
-  List.iter
-    (fun n ->
-      if List.length (List.filter (String.equal n) names) > 1 then
-        invalid_arg
-          (Printf.sprintf "Sta.analyze_corners: duplicate corner name %S" n))
-    names;
-  let patterns = Awe.Cache.create_patterns () in
-  let runs =
-    List.map
-      (fun c ->
-        let dc = corner_design d c in
-        let corner_cache =
-          if cache then Some (create_cache ~patterns ()) else None
-        in
-        let r =
-          analyze ~model ~sparse ~jobs ~strict ~reduce ?cache:corner_cache dc
-        in
-        { run_corner = c; run_report = r; run_cache = corner_cache })
-      corners
-  in
-  let summary =
-    List.map
-      (fun run ->
-        { cs_name = run.run_corner.Circuit.Corner.name;
-          cs_critical_arrival = run.run_report.critical_arrival;
-          cs_worst_slack = run.run_report.worst_slack })
-      runs
-  in
-  let worst_corner, worst_slack_overall =
-    List.fold_left
-      (fun (wn, ws) s ->
-        if s.cs_worst_slack < ws then (s.cs_name, s.cs_worst_slack)
-        else (wn, ws))
-      ((List.hd summary).cs_name, (List.hd summary).cs_worst_slack)
-      (List.tl summary)
-  in
-  let critical_arrival_overall =
-    List.fold_left
-      (fun acc s -> Float.max acc s.cs_critical_arrival)
-      neg_infinity summary
-  in
-  { runs;
-    summary;
-    worst_corner;
-    worst_slack_overall;
-    critical_arrival_overall }
 
 let pin_string = function None -> "(driver)" | Some inst -> inst
 

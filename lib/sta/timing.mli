@@ -62,7 +62,7 @@ val add_primary_output : design -> net:string -> unit
 
 val add_constraint : ?line:int -> design -> net:string -> required:float -> unit
 (** Require the signal on [net] to settle by [required] seconds: the
-    net becomes a timing endpoint, and {!analyze} back-propagates the
+    net becomes a timing endpoint, and [Sta.analyze] back-propagates the
     requirement into per-pin slacks.  The requirement binds at the
     net's sink pins (where arrivals are measured), or at the driver
     pin when the net has no sinks (a primary-output stub).  [line]
@@ -168,15 +168,15 @@ val gate_cells : design -> (string * cell) list
     accessor static analyses use to build their own lookup tables
     without going quadratic. *)
 
-(** The net-level timing DAG {!analyze} orders its Kahn waves over:
-    one vertex per referenced net name (declared nets, PI/PO and
-    constraint targets, every gate pin), sorted; one edge from each
-    distinct input net of a gate to its output net.  Exported so
-    fixpoint passes (lint's cycle check and the backward
-    constraint-coverage family) can run over the same graph the
-    engine schedules on.  Cyclic designs still build a [t] — the
-    edges simply close a cycle — so static analyses can diagnose
-    them before {!analyze} raises [Not_a_dag]. *)
+(** The net-level timing DAG: one vertex per referenced net name
+    (declared nets, PI/PO and constraint targets, every gate pin),
+    sorted; one edge from each distinct input net of a gate to its
+    output net — the edges along which the timing engine levels its
+    waves.  Exported so fixpoint passes (lint's cycle check and the
+    backward constraint-coverage family) can run over the same
+    graph.  Cyclic designs still build a [t] — the edges simply close
+    a cycle — so static analyses can diagnose them before
+    [Sta.analyze] raises [Not_a_dag]. *)
 module Dag : sig
   type t = private {
     nets : string array;  (** sorted, unique *)
@@ -289,7 +289,7 @@ type path = {
 }
 
 type cache
-(** A structure-sharing cache across nets (and across [analyze]
+(** A structure-sharing cache across nets (and across [Sta.analyze]
     calls).  Two tiers: an {e exact} tier keyed on the value-exact
     canonical hash of the stage circuit (plus model, threshold, vdd,
     input slew and sink set), which serves a whole net's timings from
@@ -303,7 +303,7 @@ type cache
 val create_cache : ?patterns:Awe.Cache.patterns -> unit -> cache
 (** [patterns] (default: a fresh private store) is the pattern-tier
     store the cache shares — pass one store to several caches to share
-    symbolic factorizations across them (see {!analyze_corners}: the
+    symbolic factorizations across them (see [Sta.analyze_corners]: the
     exact tier is value-keyed and must stay per-corner, but topology
     is corner-invariant). *)
 
@@ -315,14 +315,14 @@ val cache_fingerprint : cache -> (string * string) list * string list
     shard-merged contents match sequential publication for every
     [jobs] value. *)
 
-(** {2 Incremental hooks}
+(** {2 Engine hooks}
 
-    The Session layer re-times dirty cones by running exactly the
-    per-net solve [analyze] runs — same frozen-view / private-shard
-    cache discipline, same options derivation — through {!solve_net},
-    and keeps the cache's key set equal to what a cold analyze of the
-    current design would publish by refcounting the {!solve_keys} each
-    live net uses and retiring entries at refcount zero. *)
+    The timing engine ({!Session}) solves every net through
+    {!solve_net} — frozen-view / private-shard cache discipline — and,
+    in a session, keeps the cache's key set equal to what a cold
+    analysis of the current design would publish by refcounting the
+    {!solve_keys} each live net uses and retiring entries at refcount
+    zero. *)
 
 type cache_view
 (** An immutable snapshot of a cache's contents ({!Awe.Cache.view}),
@@ -351,12 +351,11 @@ val cache_bytes : cache -> int
 (** Approximate heap footprint of the cache ({!Awe.Cache.bytes}). *)
 
 val critical_candidates : design -> string list
-(** The candidate nets the critical-arrival fold scans, in the exact
-    order [analyze] scans them: declared primary outputs in raw
-    (newest-first) declaration order, or — when none are marked —
-    every declared net in the net table's stable enumeration order.
-    Selection is by strict [>] (first seen wins), so replicating the
-    order replicates the tie-breaks. *)
+(** The candidate nets the critical-arrival fold scans, in order:
+    declared primary outputs in raw (newest-first) declaration order,
+    or — when none are marked — every declared net in the net table's
+    stable enumeration order.  Selection is by strict [>] (first seen
+    wins), so the order fixes the tie-breaks. *)
 
 type solve_keys = {
   sk_exact : (string * string) option;
@@ -379,89 +378,16 @@ val solve_net :
   slew:float ->
   (string * float * float * float) list * solve_keys
 (** Time one net — [(sink_inst, rise delay, fall delay, slew)] per
-    sink, in sink order — through the exact per-net pipeline
-    [analyze] uses: reduction (when [reduce]), cache lookup against
-    the frozen [view] then the private [shard], compute on miss,
-    publication into the shard.  Counters (cache verdicts, solver
-    work) are recorded into the calling domain's {!Awe.Stats} window
-    exactly as during [analyze], so a Session wave that wraps chunks
-    in [Awe.Stats.scoped] and absorbs shards in chunk order is
-    bit-identical — results, counters, and final cache contents — to
-    the corresponding wave of a cold [analyze].  Raises [Malformed]
-    as [analyze] does (unknown nets, unattached sinks, thresholds
-    never crossed). *)
-
-val analyze :
-  ?model:delay_model -> ?sparse:bool -> ?jobs:int -> ?strict:bool ->
-  ?reduce:bool ->
-  ?cache:cache ->
-  design -> report
-(** Topological timing propagation.  Raises [Not_a_dag] on cycles and
-    [Malformed] on dangling references (undriven nets, unknown sinks).
-    Default model is [Awe_auto].
-
-    [reduce] (default [true]) runs {!Circuit.Reduce} on every stage
-    circuit before MNA stamping: parallel and unloaded-series merges
-    are exact (sink timings bit-identical to within 1e-12 relative);
-    RC chain lumping and star-leg merging preserve the low-order
-    moments at the driver and every sink pin (which are ports and are
-    never eliminated), so AWE delays agree within the verification
-    harness tolerance.  Reduction happens {e before} cache keying, so
-    stages that become isomorphic after reduction share pattern-tier
-    entries; the per-net reduction report accumulates into
-    [stats] ([reduce_nodes_eliminated] and friends).
-
-    Each net is timed through one shared {!Awe.Engine}: one MNA build,
-    one factorization, and one moment-vector sequence evaluated at
-    every sink; adaptive order escalation extends the shared sequence
-    instead of recomputing it.  [sparse] (default [false]) routes the
-    per-net factorization through the sparse LU — worthwhile on large
-    nets.
-
-    [jobs] (default 1) fans the solves of each topological wave across
-    a {!Parallel} pool, in contiguous chunks of the wave's sorted net
-    list (one task per pool slot, not per net, so dispatch overhead
-    amortizes over many solves).  Nets of one wave are independent —
-    their driver arrivals and slews were fixed by earlier waves — and
-    results are recorded in sorted net order, so the report (and its
-    merged [stats]) is bit-identical for every [jobs] value.  [jobs]
-    follows the tree-wide convention: [0] means the machine's
-    recommended domain count, negative raises [Invalid_argument].
-
-    [strict] (default [true]) governs per-net failures: strict raises
-    [Malformed] for the first (lowest-sorted) failing net, matching a
-    sequential sweep; non-strict records the diagnostic in [failures],
-    keeps timing the sibling nets, and lists everything downstream of
-    a failed net as "not timed".
-
-    [cache] (default none) threads a structure-sharing cache through
-    the analysis.  Tasks of one topological wave read a view frozen at
-    wave start and publish into a private per-chunk shard (no
-    contention inside a wave; a template stamped several times within
-    one chunk is computed once and served from the shard); the
-    coordinator absorbs the shards at the wave boundary in chunk
-    order, which replays publications in exactly sorted net order,
-    first-wins — so the report, every hit/miss counter in [stats], and
-    the final cache contents are bit-identical for every [jobs] value
-    (hit/miss verdicts come from the frozen view alone; shard hits
-    replay the verdict and solve counters of the computation that
-    populated the entry), and identical to an uncached run except for
-    the cache-counter fields themselves (exact hits replay the solve
-    counters of the computation that populated the entry, so the work
-    counters match an uncached run; only the phase CPU timers shrink
-    with the work actually skipped).  See THEORY.md, "Sharded
-    publication".  Passing the same cache to a second [analyze] of the
-    same design serves every net from the exact tier.
-
-    When the design carries constraints (or a clock), the forward pass
-    is followed by a sequential backward pass on the coordinator:
-    required times flow from the endpoints toward the inputs in
-    reverse wave-retirement order — through a sink gate, the output
-    requirement less the intrinsic; across a net, the sink requirement
-    less that sink's per-transition wire delay, min'ed over sinks —
-    filling [slacks] and [worst_slack].  The min-plus dual of the
-    max-plus arrival pass, so the worst pin slack equals the worst
-    endpoint slack up to floating-point re-association. *)
+    sink, in sink order — through the per-net pipeline every analysis
+    runs: reduction (when [reduce]), cache lookup against the frozen
+    [view] then the private [shard], compute on miss, publication into
+    the shard.  With [view = None] the net is solved uncached and the
+    keys are empty.  Counters (cache verdicts, solver work) are
+    recorded into the calling domain's {!Awe.Stats} window, so an
+    engine wave that wraps chunks in [Awe.Stats.scoped] and absorbs
+    shards in chunk order is bit-identical — results, counters, and
+    final cache contents — for every chunking.  Raises [Malformed] on
+    unknown nets, unattached sinks, and thresholds never crossed. *)
 
 val net_circuit :
   design -> net:string -> driver_res:float -> slew:float ->
@@ -516,24 +442,6 @@ type corners_report = {
   worst_slack_overall : float;
   critical_arrival_overall : float;  (** max across corners *)
 }
-
-val analyze_corners :
-  ?model:delay_model -> ?sparse:bool -> ?jobs:int -> ?strict:bool ->
-  ?reduce:bool ->
-  ?cache:bool ->
-  design -> Circuit.Corner.t list -> corners_report
-(** One full {!analyze} per corner over {!corner_design}, sequentially
-    in spec order (each corner's waves still fan out across the
-    [jobs] pool).  With [cache] (default [true]), every corner gets a
-    private exact tier but all corners share one pattern-tier store:
-    corners derate values, never topology, so each distinct topology
-    pays for its symbolic sparse analysis once across all corners
-    ([sparse] runs) — corner 2..N pattern-hit every template corner 1
-    analyzed.  Reports, stats and cache contents are bit-identical to
-    N independent [analyze] calls over [corner_design]s threading
-    caches that share a patterns store ({!create_cache}).  Raises
-    [Invalid_argument] on an empty corner list or duplicate corner
-    names. *)
 
 val pp_report : ?verbose:bool -> Format.formatter -> report -> unit
 (** [verbose] (default [false]) appends the {!Awe.Stats} engine

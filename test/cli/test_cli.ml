@@ -89,6 +89,27 @@ let test_serve_stdio () =
         (String.length l > 10 && String.sub l 0 10 = {|{"ok":true|}))
     lines
 
+(* Golden transcripts: the user-visible timing report on the adder
+   deck.  Each file holds the run's exit code on its first line, then
+   its stdout, recorded once; every run must reproduce its recording
+   byte for byte.  The report is %.4g text, so it is stable across libm
+   builds. *)
+let golden_runs () =
+  let corners = locate [ "../../decks/corners.json"; "decks/corners.json" ] in
+  [ ("timing_slack_top3.txt", [ "timing"; "--slack"; "--top-k"; "3"; design () ]);
+    ("timing_top2.txt", [ "timing"; "--top-k"; "2"; design () ]);
+    ( "timing_corners_top2.txt",
+      [ "timing"; "--corners"; corners; "--top-k"; "2"; design () ] ) ]
+
+let test_golden () =
+  List.iter
+    (fun (file, args) ->
+      let path = locate [ "golden/" ^ file; "test/cli/golden/" ^ file ] in
+      let expected = In_channel.with_open_bin path In_channel.input_all in
+      let code, out = run args in
+      Alcotest.(check string) file expected (Printf.sprintf "exit %d\n%s" code out))
+    (golden_runs ())
+
 let test_serve_eof () =
   (* closing stdin without quit is a clean shutdown, not a hang *)
   let code, _ = run ~stdin_text:"timing\n" [ "serve"; design () ] in
@@ -103,6 +124,7 @@ let () =
           Alcotest.test_case "negative --top-k" `Quick test_bad_top_k;
           Alcotest.test_case "--cache flag scope" `Quick test_cache_flag_scope
         ] );
+      ("golden transcripts", [ Alcotest.test_case "timing reports" `Quick test_golden ]);
       ( "serve transport",
         [ Alcotest.test_case "stdio round-trip" `Quick test_serve_stdio;
           Alcotest.test_case "EOF shutdown" `Quick test_serve_eof ] ) ]

@@ -71,6 +71,7 @@ let sta_cases =
     ("lint/cycle.sta", [ "AWE-E105" ], true, true);
     (* the orphan net also trips E102; E106 blames the constraint *)
     ("lint/constraint_target.sta", [ "AWE-E106"; "AWE-E102" ], true, true);
+    ("lint/multi_driver.sta", [ "AWE-E107" ], true, true);
     ("lint/w131_unconstrained.sta", [ "AWE-W131" ], false, true);
     ("lint/w132_dominated.sta", [ "AWE-W132" ], false, true);
     ("lint/w133_uncovered.sta", [ "AWE-W133" ], false, true) ]

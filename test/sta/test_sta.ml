@@ -144,6 +144,57 @@ let test_malformed_detected () =
   | _ -> Alcotest.fail "expected malformed"
   | exception Sta.Malformed _ -> ()
 
+(* a two-gate cycle a <-> b beside an unrelated primary-input net whose
+   sink never attaches: the cycle is what makes the design untimable,
+   so both modes must say so before any net is solved *)
+let test_cycle_beside_failure () =
+  let d = Sta.create () in
+  Sta.add_gate d ~inst:"ga" ~cell:inv ~inputs:[ "b" ] ~output:"a";
+  Sta.add_gate d ~inst:"gb" ~cell:inv ~inputs:[ "a" ] ~output:"b";
+  Sta.add_gate d ~inst:"gx" ~cell:buf ~inputs:[ "i" ] ~output:"o";
+  Sta.add_net d ~name:"a" ~segments:[ seg ~from_:"drv" ~to_:"gb" ~r:10. ~c:1e-15 ];
+  Sta.add_net d ~name:"b" ~segments:[ seg ~from_:"drv" ~to_:"ga" ~r:10. ~c:1e-15 ];
+  Sta.add_net d ~name:"i" ~segments:[ seg ~from_:"drv" ~to_:"nowhere" ~r:10. ~c:1e-15 ];
+  Sta.add_net d ~name:"o" ~segments:[ seg ~from_:"drv" ~to_:"end" ~r:10. ~c:1e-15 ];
+  Sta.add_primary_input d ~net:"i" ();
+  List.iter
+    (fun strict ->
+      match Sta.analyze ~strict d with
+      | _ -> Alcotest.failf "strict=%b: expected Not_a_dag" strict
+      | exception Sta.Not_a_dag nets ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "strict=%b: the cycle's nets" strict)
+          [ "a"; "b" ] nets
+      | exception Sta.Malformed m ->
+        Alcotest.failf "strict=%b: unrelated diagnostic %s" strict m)
+    [ true; false ]
+
+(* a net needs exactly one source: which of two drivers wins would be
+   an accident of declaration order *)
+let test_multi_driver_rejected () =
+  let base () =
+    let d = Sta.create () in
+    Sta.add_gate d ~inst:"u1" ~cell:inv ~inputs:[ "a" ] ~output:"y";
+    Sta.add_net d ~name:"a" ~segments:[ seg ~from_:"drv" ~to_:"u1" ~r:10. ~c:1e-15 ];
+    Sta.add_net d ~name:"y" ~segments:[ seg ~from_:"drv" ~to_:"end" ~r:10. ~c:1e-15 ];
+    Sta.add_primary_input d ~net:"a" ();
+    d
+  in
+  let expect label d =
+    List.iter
+      (fun strict ->
+        match Sta.analyze ~strict d with
+        | _ -> Alcotest.failf "%s accepted (strict=%b)" label strict
+        | exception Sta.Malformed _ -> ())
+      [ true; false ]
+  in
+  let two = base () in
+  Sta.add_gate two ~inst:"u2" ~cell:buf ~inputs:[ "a" ] ~output:"y";
+  expect "two gates driving y" two;
+  let pi = base () in
+  Sta.add_gate pi ~inst:"u2" ~cell:buf ~inputs:[ "y" ] ~output:"a";
+  expect "a gate driving primary input a" pi
+
 let design_text = {|
 * a two-stage chain in the text format
 vdd 5.0
@@ -434,12 +485,257 @@ let check_reports_equal name (r1 : Sta.report) (rn : Sta.report) =
   Alcotest.(check bool) (name ^ ": merged stats identical") true
     (counters r1.Sta.stats = counters rn.Sta.stats)
 
+(* ------------------------------------------------------------------ *)
+(* An independent reference timer, written from the report's
+   definition rather than from the engine: sequential, uncached, no
+   pool, shard or memo, public accessors only.  It shares nothing with
+   [Sta.analyze] but the per-net solve ([Sta.solve_net] without a
+   cache), so agreement checks the engine's schedule, record step,
+   backward pass, slack emission, critical selection and failure
+   isolation.  Its [stats] are the solve work counters of its own
+   window. *)
+let reference ?(model = Sta.Awe_auto) ?(sparse = false) ?(reduce = true)
+    ?(strict = true) d =
+  let gates = Sta.gate_details d in
+  let nets = Sta.net_names d in
+  let fail fmt = Printf.ksprintf (fun s -> raise (Sta.Malformed s)) fmt in
+  List.iter
+    (fun (inst, _, inputs, output) ->
+      List.iter
+        (fun n ->
+          if Sta.net_segments d n = None then
+            fail "gate %s references unknown net %s" inst n)
+        (output :: inputs))
+    gates;
+  let driver = Hashtbl.create 64 and by_inst = Hashtbl.create 64 in
+  List.iter
+    (fun ((inst, _, _, output) as g) ->
+      (match Hashtbl.find_opt driver output with
+      | Some (other, _, _, _) ->
+        fail "net %s is driven by both %s and %s" output other inst
+      | None -> ());
+      if Sta.primary_input d output <> None then
+        fail "net %s is both a primary input and the output of gate %s" output
+          inst;
+      Hashtbl.replace driver output g;
+      Hashtbl.replace by_inst inst g)
+    gates;
+  (* topological level: primary inputs 0, a gate output one past its
+     latest input; nets never levelled are unreachable *)
+  let level = Hashtbl.create 64 in
+  List.iter
+    (fun n -> if Sta.primary_input d n <> None then Hashtbl.replace level n 0)
+    nets;
+  let grew = ref true in
+  while !grew do
+    grew := false;
+    List.iter
+      (fun n ->
+        match Hashtbl.find_opt driver n with
+        | Some (_, _, (_ :: _ as ins), _)
+          when (not (Hashtbl.mem level n)) && List.for_all (Hashtbl.mem level) ins
+          ->
+          Hashtbl.replace level n
+            (1 + List.fold_left (fun m i -> max m (Hashtbl.find level i)) 0 ins);
+          grew := true
+        | _ -> ())
+      nets
+  done;
+  (match List.filter (fun n -> not (Hashtbl.mem level n)) nets with
+  | [] -> ()
+  | stuck -> raise (Sta.Not_a_dag stuck));
+  let order =
+    List.sort
+      (fun a b -> compare (Hashtbl.find level a, a) (Hashtbl.find level b, b))
+      nets
+  in
+  (* forward: net -> (rise, fall, slew, path newest first) at the
+     driver pin, and the timed records *)
+  let at = Hashtbl.create 64 and timed = Hashtbl.create 64 in
+  let sink_of = Hashtbl.create 64 in
+  let failures = ref [] and blocked = ref [] in
+  let forward () =
+    List.iter
+      (fun net ->
+        let source =
+          match (Sta.primary_input d net, Hashtbl.find_opt driver net) with
+          | Some (arr, slew), _ -> Some ((arr, arr, slew, [ net ]), 1e-3)
+          | None, Some (inst, cell, ins, _) ->
+            if not (List.for_all (Hashtbl.mem timed) ins) then None
+            else
+              let worst =
+                List.fold_left
+                  (fun acc i ->
+                    let s = Hashtbl.find sink_of (i, inst) in
+                    match acc with
+                    | Some (a, _) when not (s.Sta.arrival > a) -> acc
+                    | _ -> Some (s.Sta.arrival, i))
+                  None ins
+              in
+              let _, wnet = Option.get worst in
+              let s = Hashtbl.find sink_of (wnet, inst) in
+              let _, _, _, path = Hashtbl.find at wnet in
+              Some
+                ( ( s.Sta.arrival +. cell.Sta.intrinsic,
+                    s.Sta.arrival_fall +. cell.Sta.intrinsic,
+                    s.Sta.sink_slew,
+                    net :: path ),
+                  cell.Sta.drive_res )
+          | None, None -> assert false (* levelled nets have a source *)
+        in
+        match source with
+        | None -> blocked := net :: !blocked
+        | Some (((ar, af, slew, _) as tuple), driver_res) -> (
+          match
+            Sta.solve_net d ~model ~sparse ~reduce ~view:None ~shard:None ~net
+              ~driver_res ~slew
+          with
+          | exception Sta.Malformed msg when not strict ->
+            failures := { Sta.failed_net = net; reason = msg } :: !failures
+          | timings, _ ->
+            let sinks =
+              List.map
+                (fun (inst, dly, dlf, slw) ->
+                  let st =
+                    { Sta.sink_inst = inst;
+                      net_delay = dly;
+                      net_delay_fall = dlf;
+                      sink_slew = slw;
+                      arrival = ar +. dly;
+                      arrival_fall = af +. dlf }
+                  in
+                  Hashtbl.replace sink_of (net, inst) st;
+                  st)
+                timings
+            in
+            Hashtbl.replace at net tuple;
+            Hashtbl.replace timed net
+              { Sta.net_name = net;
+                driver_arrival = ar;
+                driver_arrival_fall = af;
+                sinks }))
+      order
+  in
+  let (), window = Awe.Stats.scoped forward in
+  (* backward: required times at driver and sink pins, min-plus, in
+     reverse topological order *)
+  let endpoint = Hashtbl.create 8 in
+  List.iter (fun (n, t) -> Hashtbl.replace endpoint n t) (Sta.constraints d);
+  Option.iter
+    (fun p ->
+      List.iter
+        (fun n -> if not (Hashtbl.mem endpoint n) then Hashtbl.replace endpoint n p)
+        (Sta.primary_output_nets d))
+    (Sta.clock_period d);
+  let min2 (a, b) (c, e) = (Float.min a c, Float.min b e) in
+  let inf2 = (infinity, infinity) in
+  let req_driver = Hashtbl.create 64 and req_sink = Hashtbl.create 64 in
+  List.iter
+    (fun net ->
+      match Hashtbl.find_opt timed net with
+      | None -> ()
+      | Some nt ->
+        let ep =
+          match Hashtbl.find_opt endpoint net with
+          | Some t -> (t, t)
+          | None -> inf2
+        in
+        let dr =
+          List.fold_left
+            (fun acc st ->
+              let _, cell, _, out = Hashtbl.find by_inst st.Sta.sink_inst in
+              let through =
+                match Hashtbl.find_opt req_driver out with
+                | Some (rr, rf) ->
+                  (rr -. cell.Sta.intrinsic, rf -. cell.Sta.intrinsic)
+                | None -> inf2
+              in
+              let rr, rf = min2 ep through in
+              Hashtbl.replace req_sink (net, st.Sta.sink_inst) (rr, rf);
+              min2 acc (rr -. st.Sta.net_delay, rf -. st.Sta.net_delay_fall))
+            inf2 nt.Sta.sinks
+        in
+        Hashtbl.replace req_driver net (if nt.Sta.sinks = [] then ep else dr))
+    (List.rev order);
+  let slack ~net ~pin ~ar ~af (rr, rf) =
+    let sr = rr -. ar and sf = rf -. af in
+    let mk transition arrival required =
+      [ { Sta.sp_net = net;
+          sp_pin = pin;
+          sp_transition = transition;
+          sp_arrival = arrival;
+          sp_required = required;
+          sp_slack = required -. arrival } ]
+    in
+    if Float.is_finite sf && sf < sr then mk Sta.Fall af rf
+    else if Float.is_finite sr then mk Sta.Rise ar rr
+    else []
+  in
+  let report_nets = List.filter_map (Hashtbl.find_opt timed) nets in
+  let slacks =
+    List.concat_map
+      (fun nt ->
+        let net = nt.Sta.net_name in
+        match nt.Sta.sinks with
+        | [] ->
+          slack ~net ~pin:None ~ar:nt.Sta.driver_arrival
+            ~af:nt.Sta.driver_arrival_fall (Hashtbl.find req_driver net)
+        | sinks ->
+          List.concat_map
+            (fun st ->
+              slack ~net ~pin:(Some st.Sta.sink_inst) ~ar:st.Sta.arrival
+                ~af:st.Sta.arrival_fall
+                (Hashtbl.find req_sink (net, st.Sta.sink_inst)))
+            sinks)
+      report_nets
+    |> List.sort (fun a b ->
+           compare
+             (a.Sta.sp_slack, a.Sta.sp_net, a.Sta.sp_pin)
+             (b.Sta.sp_slack, b.Sta.sp_net, b.Sta.sp_pin))
+  in
+  let critical_arrival, critical_path =
+    List.fold_left
+      (fun ((best, _) as acc) net ->
+        match Hashtbl.find_opt timed net with
+        | None -> acc
+        | Some nt ->
+          let worst =
+            List.fold_left
+              (fun m st -> Float.max m st.Sta.arrival)
+              nt.Sta.driver_arrival nt.Sta.sinks
+          in
+          if worst > best then
+            let _, _, _, path = Hashtbl.find at net in
+            (worst, List.rev path)
+          else acc)
+      (neg_infinity, []) (Sta.critical_candidates d)
+  in
+  { Sta.nets = report_nets;
+    critical_arrival;
+    critical_path;
+    slacks;
+    worst_slack = (match slacks with [] -> infinity | s :: _ -> s.Sta.sp_slack);
+    failures =
+      List.rev !failures
+      @ List.map
+          (fun net ->
+            { Sta.failed_net = net; reason = "not timed: an upstream net failed" })
+          (List.sort compare !blocked);
+    stats = window }
+
+(* [Sta.analyze] against the reference, same settings *)
+let check_reference ?model ?sparse ?reduce ?strict name d (r : Sta.report) =
+  check_reports_equal (name ^ " vs reference") r
+    (reference ?model ?sparse ?reduce ?strict d)
+
 let test_jobs_deterministic_adder () =
   let d = adder_deck () in
   let run jobs = Sta.analyze ~model:Sta.Awe_auto ~jobs d in
   check_reports_equal "adder dense" (run 1) (run test_jobs);
+  check_reference "adder dense" d (run test_jobs);
   let run jobs = Sta.analyze ~model:Sta.Awe_auto ~sparse:true ~jobs d in
-  check_reports_equal "adder sparse" (run 1) (run test_jobs)
+  check_reports_equal "adder sparse" (run 1) (run test_jobs);
+  check_reference ~sparse:true "adder sparse" d (run test_jobs)
 
 (* a random layered DAG: net [n0] is the primary input; every later
    net is driven by a gate with one or two random earlier nets as
@@ -489,7 +785,8 @@ let test_jobs_deterministic_random () =
     let d = random_design st ~nets:12 in
     let sparse = seed mod 2 = 1 in
     let run jobs = Sta.analyze ~model:Sta.Awe_auto ~sparse ~jobs d in
-    check_reports_equal (Printf.sprintf "seed %d" seed) (run 1) (run test_jobs)
+    check_reports_equal (Printf.sprintf "seed %d" seed) (run 1) (run test_jobs);
+    check_reference ~sparse (Printf.sprintf "seed %d" seed) d (run test_jobs)
   done
 
 (* two independent chains; chain B's first net never reaches its sink
@@ -525,7 +822,11 @@ let test_strict_raises () =
   | exception Sta.Malformed msg ->
     Alcotest.(check bool)
       (Printf.sprintf "diagnostic names the broken net (%s)" msg)
-      true (contains msg "b1")
+      true (contains msg "b1");
+    Alcotest.(check bool) "the reference raises the same diagnostic" true
+      (match reference d with
+      | _ -> false
+      | exception Sta.Malformed m -> m = msg)
 
 let test_non_strict_isolates () =
   let d = broken_sibling_design () in
@@ -551,7 +852,8 @@ let test_non_strict_isolates () =
     (not (List.mem "b1" timed) && not (List.mem "b2" timed));
   (* and the verdicts themselves are jobs-independent *)
   let r1 = Sta.analyze ~jobs:1 ~strict:false d in
-  check_reports_equal "broken siblings" r1 r
+  check_reports_equal "broken siblings" r1 r;
+  check_reference ~strict:false "broken siblings" d r
 
 (* ------------------------------------------------------------------ *)
 (* Structure-sharing cache: caching is an execution detail.  Reports
@@ -575,6 +877,7 @@ let check_cache_identity name d ~sparse =
       let tag s = Printf.sprintf "%s %s jobs=%d" name s jobs in
       check_reports_equal (tag "cold") off cold;
       check_reports_equal (tag "warm") off warm;
+      check_reference ~sparse (tag "cold") d cold;
       Alcotest.(check bool)
         (tag "warm serves every net from the exact tier")
         true
@@ -609,6 +912,7 @@ let test_cache_jobs_deterministic () =
   let cn, wn = run test_jobs in
   check_reports_equal "cached cold" c1 cn;
   check_reports_equal "cached warm" w1 wn;
+  check_reference ~sparse:true "cached warm" d wn;
   Alcotest.(check bool) "cold cache counters jobs-independent" true
     (cache_counters c1.Sta.stats = cache_counters cn.Sta.stats);
   Alcotest.(check bool) "warm cache counters jobs-independent" true
@@ -670,6 +974,7 @@ let test_jobs_deterministic_synth () =
         Sta.analyze ~model:Sta.Awe_auto ~sparse ~jobs ~cache d
       in
       let r1 = run_cached 1 in
+      check_reference ~sparse (name ^ " cached") d r1;
       List.iter
         (fun jobs ->
           let rn = run_cached jobs in
@@ -709,6 +1014,51 @@ let test_shard_merge_property () =
             (contents jobs = seq))
         [ test_jobs; 8 ])
     (synth_designs ())
+
+(* The reference timer against [Sta.analyze] over every design family
+   the identity walls use, at every setting that must not change a
+   result: jobs 1, 4 and 8, cache on and off, strict and non-strict. *)
+let test_reference_agrees () =
+  let designs =
+    [ ("adder", adder_deck (), false);
+      ("broken siblings", broken_sibling_design (), false);
+      ("ladder", Sta.Synth.rc_ladder ~stages:9 ~length:5 ~fanout:3 (), true) ]
+    @ synth_designs ()
+    @ List.init 4 (fun seed ->
+          ( Printf.sprintf "random %d" seed,
+            random_design (Random.State.make [| 0x2EF; seed |]) ~nets:12,
+            seed mod 2 = 1 ))
+  in
+  List.iter
+    (fun (name, d, sparse) ->
+      List.iter
+        (fun strict ->
+          let expected =
+            match reference ~sparse ~strict d with
+            | r -> Ok r
+            | exception Sta.Malformed m -> Error m
+          in
+          List.iter
+            (fun (jobs, cached) ->
+              let tag =
+                Printf.sprintf "%s strict=%b jobs=%d cache=%b" name strict jobs
+                  cached
+              in
+              let cache = if cached then Some (Sta.create_cache ()) else None in
+              let got =
+                match Sta.analyze ~sparse ~strict ~jobs ?cache d with
+                | r -> Ok r
+                | exception Sta.Malformed m -> Error m
+              in
+              match (expected, got) with
+              | Ok r, Ok got -> check_reports_equal tag r got
+              | Error m, Error m' ->
+                Alcotest.(check string) (tag ^ ": same diagnostic") m m'
+              | Ok _, Error m -> Alcotest.failf "%s: analyze raised %s" tag m
+              | Error m, Ok _ -> Alcotest.failf "%s: only the reference raised %s" tag m)
+            [ (1, false); (1, true); (4, false); (4, true); (8, true) ])
+        [ true; false ])
+    designs
 
 let test_synth_shapes () =
   let grid = Sta.Synth.grid ~rows:6 ~cols:6 () in
@@ -1345,7 +1695,10 @@ let check_session_cold ?(sparse = false) name s =
     Sta.analyze ~model:Sta.Awe_auto ~sparse ~reduce:false ~jobs:1 ~cache d
   in
   (match Sta.Session.retime s with
-  | Ok r -> check_reports_match name r cold
+  | Ok r ->
+    check_reports_match name r cold;
+    check_reports_match (name ^ " vs reference") r
+      (reference ~sparse ~reduce:false d)
   | Error msg -> Alcotest.failf "%s: retime failed: %s" name msg);
   Alcotest.(check bool) (name ^ ": cache fingerprints equal") true
     (Sta.cache_fingerprint (Sta.Session.cache s) = Sta.cache_fingerprint cache)
@@ -1688,6 +2041,10 @@ let () =
       ( "validation",
         [ Alcotest.test_case "cycle detection" `Quick test_cycle_detected;
           Alcotest.test_case "malformed" `Quick test_malformed_detected;
+          Alcotest.test_case "cycle beside a failing net" `Quick
+            test_cycle_beside_failure;
+          Alcotest.test_case "multi-driver nets" `Quick
+            test_multi_driver_rejected;
           Alcotest.test_case "cell values" `Quick test_cell_validation;
           Alcotest.test_case "duplicate primary I/O" `Quick
             test_duplicate_io_rejected;
@@ -1723,6 +2080,9 @@ let () =
             test_jobs_deterministic_synth;
           Alcotest.test_case "sharded merge = sequential publication" `Quick
             test_shard_merge_property ] );
+      ( "reference",
+        [ Alcotest.test_case "reference timer agrees with analyze" `Quick
+            test_reference_agrees ] );
       ( "slack",
         [ Alcotest.test_case "report invariants" `Quick test_slack_consistency;
           Alcotest.test_case "delta-tightening metamorphic" `Quick
