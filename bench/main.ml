@@ -1009,10 +1009,12 @@ let sta_cache_bench ?(smoke = false) () =
    generators, with the full determinism identity checks and — only
    when the machine actually has more than one core — a speedup gate
    on the cache-hostile buffered mesh, where parallel solves are the
-   sole lever. *)
+   sole lever; (3) the linearity gate — cold cost per net may grow at
+   most 1.3x from a 1,000- to an 8,000-stage chain and from a 25x25 to
+   a 100x100 grid. *)
 let sta_scale ?(smoke = false) () =
   section
-    (if smoke then "STA scale — smoke (cold-overhead gate + identities)"
+    (if smoke then "STA scale — smoke (cold-overhead, linearity gates + identities)"
      else "STA scale — cold-cache jobs sweep on 10k-net-class designs");
   let cores = Parallel.default_jobs () in
   note "%d recommended domains" cores;
@@ -1113,6 +1115,42 @@ let sta_scale ?(smoke = false) () =
   claim ~paper:"domain decomposition pays only at useful granularity"
     "cold jobs=4/jobs=1 ratio %.2f on %d-net chain, identities clean %b"
     (t4.t_med /. t1.t_med) chain_nets !ok;
+  (* -- part 3: the linearity gate --------------------------------- *)
+  (* Cold analyze at jobs=1 with a fresh cache (the CLI defaults), in
+     microseconds per net at two sizes of one family: with cost linear
+     in nets the ratio stays near 1, while any per-net pass over the
+     whole design doubles it with every 4x in nets.  A ratio, so it
+     holds on slow or loaded single-core runners.  Same sizes in smoke
+     and full runs: smaller pairs (a 2,000- vs 250-stage chain) do not
+     separate linear from quadratic bookkeeping. *)
+  let us_per_net d =
+    let t, _ =
+      timed_runs ~reps:3 (fun () ->
+          Sta.analyze ~jobs:1 ~cache:(Sta.create_cache ()) d)
+    in
+    1e6 *. t.t_med /. float_of_int (Sta.Synth.net_count d)
+  in
+  let linearity name small big =
+    let us_small = us_per_net (small ()) in
+    let us_big = us_per_net (big ()) in
+    let ratio = us_big /. us_small in
+    let pass = ratio <= 1.3 in
+    note "%-28s %8.1f -> %8.1f us/net  ratio %.2fx (gate: <= 1.3)" name
+      us_small us_big ratio;
+    if not pass then note "GATE FAIL: %s grows %.2fx per net" name ratio;
+    (name, us_small, us_big, ratio, pass)
+  in
+  let ladder stages () = Sta.Synth.rc_ladder ~stages ~length:3 ~fanout:1 () in
+  let grid n () = Sta.Synth.grid ~rows:n ~cols:n () in
+  (* bound one at a time: list elements evaluate right to left *)
+  let chain_lin = linearity "rc_ladder 1000 -> 8000 stages" (ladder 1000) (ladder 8000) in
+  let grid_lin = linearity "grid 25x25 -> 100x100" (grid 25) (grid 100) in
+  let lin = [ chain_lin; grid_lin ] in
+  let linearity_gate_ok = List.for_all (fun (_, _, _, _, p) -> p) lin in
+  claim ~paper:"the per-stage cost is one factorization (eq. 56), whatever the design size"
+    "cold us/net ratios %s"
+    (String.concat ", "
+       (List.map (fun (_, _, _, r, _) -> Printf.sprintf "%.2fx" r) lin));
   let json_path = "BENCH_sta_scale.json" in
   let oc = open_out json_path in
   Printf.fprintf oc
@@ -1122,7 +1160,9 @@ let sta_scale ?(smoke = false) () =
     \    \"cold_ms_jobs4\": [%.3f, %.3f, %.3f],\n\
     \    \"ratio_jobs4_vs_jobs1\": %.3f, \"gate_ok\": %b },\n\
     \  \"designs\": {\n%s\n  },\n\
-    \  \"identities_ok\": %b, \"speedup_gate_ok\": %b }\n"
+    \  \"linearity\": {\n%s\n  },\n\
+    \  \"identities_ok\": %b, \"speedup_gate_ok\": %b,\n\
+    \  \"linearity_gate_ok\": %b }\n"
     smoke cores chain_nets reps (1e3 *. t1.t_min) (1e3 *. t1.t_med)
     (1e3 *. t1.t_max) (1e3 *. t4.t_min) (1e3 *. t4.t_med) (1e3 *. t4.t_max)
     (t4.t_med /. t1.t_med) chain_gate_ok
@@ -1145,10 +1185,18 @@ let sta_scale ?(smoke = false) () =
                       Printf.sprintf "\"%d\": %.2f" j (t1 /. t.t_med))
                     results)))
           per_design))
-    !ok speedup_gate_ok;
+    (String.concat ",\n"
+       (List.map
+          (fun (name, us_small, us_big, ratio, pass) ->
+            Printf.sprintf
+              "    \"%s\": { \"us_per_net\": [%.1f, %.1f], \"ratio\": %.3f, \
+               \"gate_ok\": %b }"
+              name us_small us_big ratio pass)
+          lin))
+    !ok speedup_gate_ok linearity_gate_ok;
   close_out oc;
   note "wrote %s" json_path;
-  if not (!ok && chain_gate_ok && speedup_gate_ok) then begin
+  if not (!ok && chain_gate_ok && speedup_gate_ok && linearity_gate_ok) then begin
     note "STA SCALE FAIL — failing";
     exit 1
   end

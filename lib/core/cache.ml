@@ -42,8 +42,6 @@ let create ?patterns () =
   in
   { exact = Smap.empty; pats; bytes_memo = None }
 
-let patterns t = t.pats
-
 let view t = { v_exact = t.exact; v_symbolics = t.pats.p_symbolics }
 
 let find_exact v ~hash ~signature =
@@ -126,12 +124,6 @@ let bytes t =
     in
     t.bytes_memo <- Some (t.pats.p_epoch, b);
     b
-
-let exact_entries t =
-  Smap.fold (fun _ entries n -> n + List.length entries) t.exact 0
-
-let symbolic_entries t =
-  Smap.fold (fun _ entries n -> n + List.length entries) t.pats.p_symbolics 0
 
 let exact_keys t =
   Smap.fold

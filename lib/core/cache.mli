@@ -61,9 +61,6 @@ val create : ?patterns:patterns -> unit -> 'a t
     pass the same store to several caches to share symbolic analyses
     across them. *)
 
-val patterns : 'a t -> patterns
-(** The pattern-tier store this cache reads and publishes. *)
-
 type 'a view
 (** An immutable snapshot of a cache's contents. *)
 
@@ -121,12 +118,6 @@ val bytes : 'a t -> int
     any publication invalidates it.  Structure shared across entries
     is counted once (the sweep walks the object graph), so this is a
     retention figure, not a sum of per-entry sizes. *)
-
-val exact_entries : 'a t -> int
-(** Number of exact-tier entries currently stored. *)
-
-val symbolic_entries : 'a t -> int
-(** Number of pattern-tier analyses currently stored. *)
 
 val exact_keys : 'a t -> (string * string) list
 (** All (hash, signature) pairs in the exact tier, sorted — a

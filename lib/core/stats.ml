@@ -41,7 +41,6 @@ type counters = {
   mutable cache_exact_hits_c : int;
   mutable cache_pattern_hits_c : int;
   mutable cache_misses_c : int;
-  mutable cache_bytes_c : int;
   mutable reduce_nodes_c : int;
   mutable reduce_elements_c : int;
   mutable reduce_parallels_c : int;
@@ -65,7 +64,6 @@ let fresh () =
     cache_exact_hits_c = 0;
     cache_pattern_hits_c = 0;
     cache_misses_c = 0;
-    cache_bytes_c = 0;
     reduce_nodes_c = 0;
     reduce_elements_c = 0;
     reduce_parallels_c = 0;
@@ -94,7 +92,6 @@ let reset () =
   c.cache_exact_hits_c <- 0;
   c.cache_pattern_hits_c <- 0;
   c.cache_misses_c <- 0;
-  c.cache_bytes_c <- 0;
   c.reduce_nodes_c <- 0;
   c.reduce_elements_c <- 0;
   c.reduce_parallels_c <- 0;
@@ -143,10 +140,6 @@ let record_cache_miss () =
   let c = current () in
   c.cache_misses_c <- c.cache_misses_c + 1
 
-let record_cache_bytes n =
-  let c = current () in
-  c.cache_bytes_c <- c.cache_bytes_c + n
-
 let record_reduction ~nodes ~elements ~parallels ~series ~chains ~stars =
   let c = current () in
   c.reduce_nodes_c <- c.reduce_nodes_c + nodes;
@@ -192,7 +185,7 @@ let snapshot_of c =
     cache_exact_hits = c.cache_exact_hits_c;
     cache_pattern_hits = c.cache_pattern_hits_c;
     cache_misses = c.cache_misses_c;
-    cache_bytes = c.cache_bytes_c;
+    cache_bytes = 0; (* no domain records it: the engine merges the footprint *)
     reduce_nodes_eliminated = c.reduce_nodes_c;
     reduce_elements_eliminated = c.reduce_elements_c;
     reduce_parallel_merges = c.reduce_parallels_c;
@@ -318,7 +311,6 @@ let scoped f =
     outer.cache_pattern_hits_c <-
       outer.cache_pattern_hits_c + inner.cache_pattern_hits_c;
     outer.cache_misses_c <- outer.cache_misses_c + inner.cache_misses_c;
-    outer.cache_bytes_c <- outer.cache_bytes_c + inner.cache_bytes_c;
     outer.reduce_nodes_c <- outer.reduce_nodes_c + inner.reduce_nodes_c;
     outer.reduce_elements_c <-
       outer.reduce_elements_c + inner.reduce_elements_c;

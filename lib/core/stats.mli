@@ -37,8 +37,9 @@ type snapshot = {
       (** structure-cache hits that reused a symbolic factorization *)
   cache_misses : int;  (** structure-cache lookups that found nothing *)
   cache_bytes : int;
-      (** approximate heap footprint of the structure cache, recorded
-          once per analysis by the coordinator *)
+      (** approximate heap footprint of the structure cache, merged
+          once into an analysis's report by the timing engine (no
+          domain records it, so ambient snapshots read 0) *)
   reduce_nodes_eliminated : int;
       (** nodes removed by the pre-AWE [Circuit.Reduce] pass *)
   reduce_elements_eliminated : int;
@@ -125,11 +126,6 @@ val replay : snapshot -> unit
     solve counts as an uncached one (the hit {e stands for} that
     work), and the cache's effect shows up in wall-clock and in its
     own hit counters rather than as silently vanishing solves. *)
-
-val record_cache_bytes : int -> unit
-(** Accumulate a cache-footprint measurement (bytes).  Recorded once
-    per analysis from a single window, so merged totals report the
-    final footprint rather than a sum of samples. *)
 
 val time : string -> (unit -> 'a) -> 'a
 (** [time phase f] runs [f], accumulating its CPU time under [phase]

@@ -1,6 +1,6 @@
 (* AWE-W13x constraint coverage: backward dataflow over the net-level
-   timing DAG (Sta.Dag — the same graph the analysis engine schedules
-   its Kahn waves on).
+   timing DAG (Sta.Dag — built from the design's connectivity index,
+   the same graph the analysis engine schedules its Kahn waves on).
 
    Endpoints are the nets carrying a required time: explicit
    constraint cards, plus the clock default on unconstrained primary

@@ -200,45 +200,6 @@ let pi_drive_res = 1e-3
 let check_design (d : Sta.design) ~spread_limit =
   let acc = ref [] in
   let emit x = acc := x :: !acc in
-  let cells = Hashtbl.create 32 in
-  List.iter
-    (fun (inst, cl) -> Hashtbl.replace cells inst cl)
-    (Sta.gate_cells d);
-  let drivers = Hashtbl.create 32 in
-  List.iter
-    (fun g ->
-      if not (Hashtbl.mem drivers g.Sta.gv_output) then
-        Hashtbl.replace drivers g.Sta.gv_output g.Sta.gv_inst)
-    (Sta.gate_views d);
-  let pis = Hashtbl.create 8 in
-  List.iter (fun n -> Hashtbl.replace pis n ()) (Sta.primary_input_nets d);
-  (* net -> (pin-node name -> attached input capacitance): grouped per
-     net up front so the per-net pass below stays linear overall *)
-  let sink_caps = Hashtbl.create 32 in
-  List.iter
-    (fun g ->
-      match Hashtbl.find_opt cells g.Sta.gv_inst with
-      | None -> ()
-      | Some cl ->
-        List.iter
-          (fun n ->
-            Dataflow.tick ();
-            let pins =
-              match Hashtbl.find_opt sink_caps n with
-              | Some pins -> pins
-              | None ->
-                let pins = Hashtbl.create 4 in
-                Hashtbl.replace sink_caps n pins;
-                pins
-            in
-            let prev =
-              Option.value
-                (Hashtbl.find_opt pins g.Sta.gv_inst)
-                ~default:0.
-            in
-            Hashtbl.replace pins g.Sta.gv_inst (prev +. cl.Sta.input_cap))
-          g.Sta.gv_inputs)
-    (Sta.gate_views d);
   let module M = Dataflow.Make (Dataflow.Min_float) in
   List.iter
     (fun net ->
@@ -246,13 +207,12 @@ let check_design (d : Sta.design) ~spread_limit =
       match Sta.net_segments d net with
       | None -> ()
       | Some segs ->
+        (* the first-declared driver; several are E107's business *)
         let r_drive =
-          match Hashtbl.find_opt drivers net with
-          | Some inst -> (
-            match Hashtbl.find_opt cells inst with
-            | Some cl -> Some cl.Sta.drive_res
-            | None -> None)
-          | None -> if Hashtbl.mem pis net then Some pi_drive_res else None
+          match Sta.net_drivers d net with
+          | inst :: _ -> Some (Sta.find_gate d inst).Sta.cell.Sta.drive_res
+          | [] ->
+            if Sta.primary_input d net <> None then Some pi_drive_res else None
         in
         (match r_drive with
         | None -> () (* undriven: E102's business *)
@@ -306,15 +266,22 @@ let check_design (d : Sta.design) ~spread_limit =
               let i = Hashtbl.find ids s.Sta.seg_to in
               cap.(i) <- cap.(i) +. s.Sta.cap)
             segs;
-          (match Hashtbl.find_opt sink_caps net with
-          | None -> ()
-          | Some pins ->
-            Hashtbl.iter
-              (fun pin c ->
-                match Hashtbl.find_opt ids pin with
-                | Some i -> cap.(i) <- cap.(i) +. c
-                | None -> ())
-              pins);
+          (* each sink pin on the net adds its input capacitance at the
+             node named after its instance *)
+          List.iter
+            (fun inst ->
+              Dataflow.tick ();
+              let g = Sta.find_gate d inst in
+              let c =
+                List.fold_left
+                  (fun acc n ->
+                    if n = net then acc +. g.Sta.cell.Sta.input_cap else acc)
+                  0. g.Sta.inputs
+              in
+              match Hashtbl.find_opt ids inst with
+              | Some i -> cap.(i) <- cap.(i) +. c
+              | None -> ())
+            (Sta.net_sinks d net);
           let taus = ref [] in
           for i = n - 1 downto 0 do
             if cap.(i) > 0. && Float.is_finite dist.(i) then

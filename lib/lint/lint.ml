@@ -412,42 +412,13 @@ let check_design_core (d : Sta.design) =
   let pis = Sta.primary_input_nets d in
   let pos = Sta.primary_output_nets d in
   let have_net n = Sta.net_segments d n <> None in
-  let pi_set = Hashtbl.create 16 in
-  List.iter (fun n -> Hashtbl.replace pi_set n ()) pis;
-  let is_pi n = Hashtbl.mem pi_set n in
-  (* all gates driving a net, in declaration order — the Hashtbl
-     replaces the old per-net List scans so the pass stays linear on
-     10k-net designs (the bench lint_scale gate) *)
-  let drivers = Hashtbl.create 64 in
-  List.iter
-    (fun g ->
-      Dataflow.tick ();
-      Hashtbl.replace drivers g.Sta.gv_output
-        (g
-        :: Option.value
-             (Hashtbl.find_opt drivers g.Sta.gv_output)
-             ~default:[]))
-    (List.rev gates);
-  let has_driver n = Hashtbl.mem drivers n in
-  let drivers_of n =
-    Option.value (Hashtbl.find_opt drivers n) ~default:[]
-  in
-  (* the sinks of each net, in declaration order, one entry per gate *)
-  let sinks = Hashtbl.create 64 in
-  List.iter
-    (fun g ->
-      let seen = Hashtbl.create 4 in
-      List.iter
-        (fun n ->
-          Dataflow.tick ();
-          if not (Hashtbl.mem seen n) then begin
-            Hashtbl.replace seen n ();
-            Hashtbl.replace sinks n
-              (g :: Option.value (Hashtbl.find_opt sinks n) ~default:[])
-          end)
-        g.Sta.gv_inputs)
-    (List.rev gates);
-  let sinks_of n = Option.value (Hashtbl.find_opt sinks n) ~default:[] in
+  (* source, driver and sink questions go to the design itself (its
+     connectivity index), so the pass stays linear on 10k-net designs
+     (the bench lint_scale gate) *)
+  let is_pi n = Sta.primary_input d n <> None in
+  let has_driver n = Sta.net_drivers d n <> [] in
+  (* the sinks of a net in declaration order, one entry per gate *)
+  let sinks_of n = List.rev (Sta.net_sinks d n) in
   (* every referenced net needs a wire model *)
   List.iter
     (fun g ->
@@ -527,24 +498,24 @@ let check_design_core (d : Sta.design) =
             ~edge:(fun ~from:_ ~into:_ v -> v)
         in
         List.iter
-          (fun g ->
-            match Hashtbl.find_opt ids g.Sta.gv_inst with
+          (fun inst ->
+            match Hashtbl.find_opt ids inst with
             | None ->
               emit
-                (D.make ~element:g.Sta.gv_inst ~nodes:[ n ]
+                (D.make ~element:inst ~nodes:[ n ]
                    ~hint:
                      (Printf.sprintf
                         "add a segment of net %s ending at node %s"
-                        n g.Sta.gv_inst)
+                        n inst)
                    D.Sink_unattached
                    (Printf.sprintf
                       "no wire segment of net %s ends at sink %s: \
                        the sink pin has no attachment node"
-                      n g.Sta.gv_inst))
+                      n inst))
             | Some pin ->
               if not reached.(pin) then
                 emit
-                  (D.make ~element:g.Sta.gv_inst ~nodes:[ n ]
+                  (D.make ~element:inst ~nodes:[ n ]
                      ~hint:
                        "connect the sink's wire island to the drv \
                         pin"
@@ -552,7 +523,7 @@ let check_design_core (d : Sta.design) =
                      (Printf.sprintf
                         "sink %s of net %s is not connected to the \
                          driver pin through the net's wire segments"
-                        g.Sta.gv_inst n)))
+                        inst n)))
           (sinks_of n))
     nets;
   (* timing constraints must name nets an arrival can actually reach:
@@ -611,11 +582,9 @@ let check_design_core (d : Sta.design) =
       ~transfer:(fun i ~get ->
         seed.(i)
         || List.exists
-             (fun gv ->
-               List.for_all
-                 (fun inp -> get (idx inp))
-                 gv.Sta.gv_inputs)
-             (drivers_of dag.Sta.Dag.nets.(i)))
+             (fun inst ->
+               List.for_all (fun inp -> get (idx inp)) (Sta.find_gate d inst).Sta.inputs)
+             (Sta.net_drivers d dag.Sta.Dag.nets.(i)))
   in
   let stuck = List.filter (fun n -> not ready.(idx n)) nets in
   if stuck <> [] then
@@ -635,14 +604,14 @@ let check_design_core (d : Sta.design) =
    of [check_design_core], whose output is pinned byte for byte to the
    legacy implementation. *)
 let check_sources (d : Sta.design) =
-  let gates = Hashtbl.create 64 in
-  List.iter
+  (* each driven net once, through its first-declared driver *)
+  List.filter_map
     (fun g ->
-      Hashtbl.replace gates g.Sta.gv_output
-        (g.Sta.gv_inst
-        :: Option.value (Hashtbl.find_opt gates g.Sta.gv_output) ~default:[]))
-    (List.rev (Sta.gate_views d));
-  Hashtbl.fold (fun n insts acc -> (n, insts) :: acc) gates []
+      let n = g.Sta.gv_output in
+      match Sta.net_drivers d n with
+      | first :: _ as insts when first = g.Sta.gv_inst -> Some (n, insts)
+      | _ -> None)
+    (Sta.gate_views d)
   |> List.sort compare
   |> List.filter_map (fun (n, insts) ->
          let pi = Sta.primary_input d n <> None in

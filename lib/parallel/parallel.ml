@@ -58,8 +58,8 @@ let rec worker_loop t =
     worker_loop t
   end
 
-(* the sequential fallback below would otherwise make the domain
-   machinery untestable on single-core CI runners *)
+(* the core-count cap below would otherwise make the domain machinery
+   untestable on single-core CI runners *)
 let force_domains () =
   match Sys.getenv_opt "AWESIM_FORCE_DOMAINS" with
   | Some ("1" | "true" | "yes") -> true
@@ -76,12 +76,12 @@ let create ?jobs () =
         (Printf.sprintf "Parallel.create: jobs must be >= 0 (got %d)" j)
     | Some j -> j
   in
-  (* on a single-core machine extra domains only add spawn cost and
-     scheduler churn; fall back to sequential (results are identical
-     by construction, so this is purely an execution choice) *)
+  (* domains beyond the machine's cores only add spawn cost and
+     scheduler churn (on a single-core machine, every extra domain
+     does): cap at the recommended count.  Results are identical by
+     construction, so this is purely an execution choice. *)
   let jobs =
-    if requested > 1 && default_jobs () = 1 && not (force_domains ()) then 1
-    else requested
+    if force_domains () then requested else Stdlib.min requested (default_jobs ())
   in
   let t =
     { jobs;

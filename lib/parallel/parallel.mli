@@ -42,16 +42,19 @@ val create : ?jobs:int -> unit -> t
     means {!default_jobs}, [1] creates a worker-free pool whose [map]
     runs sequentially in the caller, and negative values raise
     [Invalid_argument] — the same validation every [--jobs] flag gets.
-    When {!default_jobs} is 1 (a single-core machine) any requested
-    [jobs] also falls back to the worker-free pool — extra domains
-    could only add overhead, and by the determinism contract the
-    results are identical; set [AWESIM_FORCE_DOMAINS=1] to override
-    (used by the test suite to exercise the domain machinery on
-    single-core CI runners).  Pools hold OS resources: release with
-    {!shutdown}, or use {!with_pool}. *)
+    The pool never runs more domains than the machine has cores: the
+    parallelism is [min jobs (default_jobs ())], so a single-core
+    machine always gets the worker-free pool.  Domains beyond the core
+    count could only add spawn cost and oversubscription, and by the
+    determinism contract the results are identical; set
+    [AWESIM_FORCE_DOMAINS=1] to get exactly [jobs] (used by the test
+    suite to exercise the domain machinery on small CI runners).
+    Pools hold OS resources: release with {!shutdown}, or use
+    {!with_pool}. *)
 
 val jobs : t -> int
-(** The parallelism the pool was created with (always [>= 1]). *)
+(** The parallelism the pool runs at, after the core-count cap (always
+    [>= 1]). *)
 
 val shutdown : t -> unit
 (** Join all worker domains.  Idempotent.  A shut-down pool is dead:

@@ -37,12 +37,6 @@ type totals = {
   total_fallbacks : int;
 }
 
-type gate_info = {
-  mutable gi_cell : cell;
-  mutable gi_inputs : string list;
-  gi_output : string;
-}
-
 (* What a net's last solve depended on (beyond upstream arrivals,
    which enter additively) and what it produced.  [m_valid = false]
    means the net's own content changed: the timings can no longer be
@@ -62,8 +56,6 @@ type t = {
   reduce : bool;
   jobs : int;
   mutable cache : cache option; (* [None]: uncached analysis *)
-  gate_tbl : (string, gate_info) Hashtbl.t;
-  driver_tbl : (string, string) Hashtbl.t; (* net -> driving instance *)
   mutable waves : string list list; (* sorted within each wave *)
   mutable schedule_valid : bool;
   memo : (string, memo) Hashtbl.t;
@@ -107,20 +99,10 @@ type t = {
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
-let gate_of t inst =
-  match Hashtbl.find_opt t.gate_tbl inst with
-  | Some gi -> gi
-  | None -> fail "unknown gate instance %s" inst
-
 let segments_of t net =
   match net_segments t.d net with
   | Some s -> s
   | None -> fail "unknown net %s" net
-
-let sink_insts_of t net =
-  Hashtbl.fold
-    (fun inst gi acc -> if List.mem net gi.gi_inputs then inst :: acc else acc)
-    t.gate_tbl []
 
 let distinct nets = List.sort_uniq compare nets
 
@@ -131,24 +113,19 @@ let rec replace_first lst a b =
 
 (* --- schedule ----------------------------------------------------- *)
 
-(* Kahn waves in one in-degree pass over the connectivity tables.
-   Primary-input nets are wave 0; a gate's output net lands one wave
-   past its latest input, once every input pin has retired (a
-   zero-input gate never fires).  Popping FIFO from all roots visits
-   nets in nondecreasing wave order, so the last input to retire is
-   the latest one.  Waves are then filled from the sorted net list, so
-   each is sorted.  Nets no wave reaches — a combinational cycle, an
-   undriven net — raise [Not_a_dag] before anything is solved. *)
+(* Kahn waves in one in-degree pass over the design's connectivity
+   index.  Primary-input nets are wave 0; a gate's output net lands one
+   wave past its latest input, once every distinct input net has
+   retired (a zero-input gate never fires).  Popping FIFO from all
+   roots visits nets in nondecreasing wave order, so the last input to
+   retire is the latest one.  Waves are then filled from the sorted
+   net list, so each is sorted.  Nets no wave reaches — a combinational
+   cycle, an undriven net — raise [Not_a_dag] before anything is
+   solved. *)
 let compute_waves t =
   let d = t.d in
   let names = net_names d in
-  let fanout : (string, string) Hashtbl.t = Hashtbl.create 256 in
   let unretired : (string, int) Hashtbl.t = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun _ gi ->
-      List.iter (fun inp -> Hashtbl.add fanout inp gi.gi_output) gi.gi_inputs;
-      Hashtbl.replace unretired gi.gi_output (List.length gi.gi_inputs))
-    t.gate_tbl;
   let wave_of : (string, int) Hashtbl.t = Hashtbl.create 256 in
   let queue = Queue.create () in
   List.iter
@@ -164,14 +141,19 @@ let compute_waves t =
     let w = Hashtbl.find wave_of net in
     nwaves := w + 1;
     List.iter
-      (fun out ->
-        let k = Hashtbl.find unretired out - 1 in
-        Hashtbl.replace unretired out k;
+      (fun inst ->
+        let g = find_gate d inst in
+        let k =
+          match Hashtbl.find_opt unretired g.output with
+          | Some k -> k - 1
+          | None -> List.length (distinct g.inputs) - 1
+        in
+        Hashtbl.replace unretired g.output k;
         if k = 0 then begin
-          Hashtbl.replace wave_of out (w + 1);
-          Queue.add out queue
+          Hashtbl.replace wave_of g.output (w + 1);
+          Queue.add g.output queue
         end)
-      (Hashtbl.find_all fanout net)
+      (net_sinks d net)
   done;
   let waves = Array.make !nwaves [] and stuck = ref [] in
   List.iter
@@ -189,19 +171,20 @@ let compute_waves t =
 (* A net's arrival tuple, pulled from the sink results of its driver
    gate's inputs: the worst input by rise arrival (strict [>] in input
    order, first wins) plus the gate's intrinsic delay; a primary input
-   contributes its arrival card and slew. *)
+   contributes its arrival card and slew.  The checks in [engine] leave
+   every other scheduled net exactly one driver. *)
 let compute_arrival t net =
   match primary_input t.d net with
   | Some (arr, slew) -> (arr, arr, slew, [ net ])
   | None ->
-    let inst = Hashtbl.find t.driver_tbl net in
-    let gi = Hashtbl.find t.gate_tbl inst in
+    let g = find_gate t.d (List.hd (net_drivers t.d net)) in
+    let inst = g.inst in
     let worst, worst_net =
       List.fold_left
         (fun (acc, accn) inp ->
           let s = Hashtbl.find t.sink_results (inp, inst) in
           if s.arrival > acc then (s.arrival, inp) else (acc, accn))
-        (neg_infinity, "") gi.gi_inputs
+        (neg_infinity, "") g.inputs
     in
     let worst_sink = Hashtbl.find t.sink_results (worst_net, inst) in
     let _, _, _, worst_path =
@@ -209,15 +192,15 @@ let compute_arrival t net =
       | Some v -> v
       | None -> (0., 0., 0., [])
     in
-    ( worst +. gi.gi_cell.intrinsic,
-      worst_sink.arrival_fall +. gi.gi_cell.intrinsic,
+    ( worst +. g.cell.intrinsic,
+      worst_sink.arrival_fall +. g.cell.intrinsic,
       worst_sink.sink_slew,
       net :: worst_path )
 
 let driver_res_of t net =
-  match Hashtbl.find_opt t.driver_tbl net with
-  | Some inst -> (Hashtbl.find t.gate_tbl inst).gi_cell.drive_res
-  | None -> 1e-3 (* ideal primary input *)
+  match net_drivers t.d net with
+  | inst :: _ -> (find_gate t.d inst).cell.drive_res
+  | [] -> 1e-3 (* ideal primary input *)
 
 (* --- cache-key refcounting ---------------------------------------- *)
 
@@ -340,10 +323,9 @@ let pass ~strict t =
   let upstream_untimed net =
     Hashtbl.length untimed > 0
     &&
-    match Hashtbl.find_opt t.driver_tbl net with
-    | None -> false
-    | Some inst ->
-      List.exists (Hashtbl.mem untimed) (Hashtbl.find t.gate_tbl inst).gi_inputs
+    match net_drivers t.d net with
+    | [] -> false
+    | inst :: _ -> List.exists (Hashtbl.mem untimed) (find_gate t.d inst).inputs
   in
   (* forward: wave by wave, classify every net by pulling its arrival
      tuple and memo inputs, batch-solve the dirty ones, and rebuild
@@ -502,13 +484,10 @@ let pass ~strict t =
         List.map
           (fun st ->
             let through =
-              match Hashtbl.find_opt t.gate_tbl st.sink_inst with
+              let g = find_gate d st.sink_inst in
+              match Hashtbl.find_opt t.req_driver g.output with
               | None -> inf2
-              | Some gi -> (
-                match Hashtbl.find_opt t.req_driver gi.gi_output with
-                | None -> inf2
-                | Some (rr, rf) ->
-                  (rr -. gi.gi_cell.intrinsic, rf -. gi.gi_cell.intrinsic))
+              | Some (rr, rf) -> (rr -. g.cell.intrinsic, rf -. g.cell.intrinsic)
             in
             let rq = min2 ep2 through in
             (match Hashtbl.find_opt t.req_sink (net, st.sink_inst) with
@@ -548,10 +527,7 @@ let pass ~strict t =
             | None -> false
             | Some nt ->
               List.exists
-                (fun st ->
-                  match Hashtbl.find_opt t.gate_tbl st.sink_inst with
-                  | None -> false
-                  | Some gi -> Hashtbl.mem changed_req gi.gi_output)
+                (fun st -> Hashtbl.mem changed_req (find_gate d st.sink_inst).output)
                 nt.sinks
           in
           if need then visit net)
@@ -660,8 +636,9 @@ let pass ~strict t =
     !dirty,
     !reused )
 
-(* Build the engine over a design: the up-front reference checks, then
-   the connectivity tables.  Nothing is timed yet. *)
+(* Build the engine over a design: the up-front reference checks, in
+   declaration order, against the design's connectivity index.  Nothing
+   is timed yet. *)
 let engine ~model ~sparse ~jobs ~reduce ~cache (d : design) =
   let details = gate_details d in
   List.iter
@@ -672,53 +649,47 @@ let engine ~model ~sparse ~jobs ~reduce ~cache (d : design) =
             fail "gate %s references unknown net %s" inst net)
         (output :: inputs))
     details;
-  let t =
-    { d;
-      model;
-      sparse;
-      reduce;
-      jobs;
-      cache;
-      gate_tbl = Hashtbl.create 256;
-      driver_tbl = Hashtbl.create 256;
-      waves = [];
-      schedule_valid = false;
-      memo = Hashtbl.create 256;
-      arrival = Hashtbl.create 256;
-      timed = Hashtbl.create 256;
-      sink_results = Hashtbl.create 256;
-      req_driver = Hashtbl.create 256;
-      req_sink = Hashtbl.create 256;
-      endpoint_req = Hashtbl.create 8;
-      endpoints_stale = true;
-      slack_by_net = Hashtbl.create 64;
-      exact_refs = Hashtbl.create 256;
-      pattern_refs = Hashtbl.create 64;
-      req_seed = Hashtbl.create 16;
-      undo = [];
-      undo_saved = [];
-      rollback = [];
-      pending = 0;
-      last_report = None;
-      tot_edits = 0;
-      tot_retimes = 0;
-      tot_dirty = 0;
-      tot_reused = 0;
-      tot_fallbacks = 0 }
-  in
   List.iter
-    (fun (inst, cell, inputs, output) ->
-      (match Hashtbl.find_opt t.driver_tbl output with
-      | Some other -> fail "net %s is driven by both %s and %s" output other inst
-      | None -> ());
+    (fun (inst, _cell, _inputs, output) ->
+      (* the first failing gate is a net's second driver *)
+      (match net_drivers d output with
+      | first :: _ when first <> inst ->
+        fail "net %s is driven by both %s and %s" output first inst
+      | _ -> ());
       if primary_input d output <> None then
         fail "net %s is both a primary input and the output of gate %s" output
-          inst;
-      Hashtbl.replace t.driver_tbl output inst;
-      Hashtbl.replace t.gate_tbl inst
-        { gi_cell = cell; gi_inputs = inputs; gi_output = output })
+          inst)
     details;
-  t
+  { d;
+    model;
+    sparse;
+    reduce;
+    jobs;
+    cache;
+    waves = [];
+    schedule_valid = false;
+    memo = Hashtbl.create 256;
+    arrival = Hashtbl.create 256;
+    timed = Hashtbl.create 256;
+    sink_results = Hashtbl.create 256;
+    req_driver = Hashtbl.create 256;
+    req_sink = Hashtbl.create 256;
+    endpoint_req = Hashtbl.create 8;
+    endpoints_stale = true;
+    slack_by_net = Hashtbl.create 64;
+    exact_refs = Hashtbl.create 256;
+    pattern_refs = Hashtbl.create 64;
+    req_seed = Hashtbl.create 16;
+    undo = [];
+    undo_saved = [];
+    rollback = [];
+    pending = 0;
+    last_report = None;
+    tot_edits = 0;
+    tot_retimes = 0;
+    tot_dirty = 0;
+    tot_reused = 0;
+    tot_fallbacks = 0 }
 
 let analyze ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(strict = true)
     ?(reduce = true) ?cache d =
@@ -774,18 +745,18 @@ let rec apply_edit t edit =
       (fun inst ->
         if not (List.exists (fun s -> s.seg_to = inst) segments) then
           fail "reroute would detach sink %s from net %s" inst net)
-      (sink_insts_of t net);
+      (net_sinks t.d net);
     replace_net_segments t.d ~net ~segments;
     invalidate t net;
     Reroute { net; index; seg_from = old.seg_from; seg_to = old.seg_to }
   | Swap_sink { inst; from_net; to_net } ->
-    let gi = gate_of t inst in
-    if not (List.mem from_net gi.gi_inputs) then
+    let old = (find_gate t.d inst).inputs in
+    if not (List.mem from_net old) then
       fail "gate %s has no input pin on net %s" inst from_net;
-    let inputs = replace_first gi.gi_inputs from_net to_net in
+    let inputs = replace_first old from_net to_net in
     apply_edit t (Set_inputs { inst; inputs })
   | Set_inputs { inst; inputs } ->
-    let gi = gate_of t inst in
+    let old = (find_gate t.d inst).inputs in
     if inputs = [] then fail "gate %s has no inputs" inst;
     List.iter
       (fun net ->
@@ -795,9 +766,7 @@ let rec apply_edit t edit =
           if not (List.exists (fun s -> s.seg_to = inst) segs) then
             fail "net %s has no segment reaching sink %s" net inst)
       inputs;
-    let old = gi.gi_inputs in
     set_gate_inputs t.d ~inst ~inputs;
-    gi.gi_inputs <- inputs;
     (* nets whose sink membership changed get a new stage circuit *)
     let removed = List.filter (fun n -> not (List.mem n inputs)) (distinct old) in
     let added = List.filter (fun n -> not (List.mem n old)) (distinct inputs) in
@@ -805,40 +774,29 @@ let rec apply_edit t edit =
     if removed <> [] || added <> [] then t.schedule_valid <- false;
     Set_inputs { inst; inputs = old }
   | Set_drive { inst; value } ->
-    let gi = gate_of t inst in
+    let g = find_gate t.d inst in
     if not (Float.is_finite value && value > 0.) then
       fail "gate %s: drive resistance must be positive" inst;
-    let old = gi.gi_cell.drive_res in
-    let cell = { gi.gi_cell with drive_res = value } in
-    set_gate_cell t.d ~inst ~cell;
-    gi.gi_cell <- cell;
-    invalidate t gi.gi_output;
-    Set_drive { inst; value = old }
+    set_gate_cell t.d ~inst ~cell:{ g.cell with drive_res = value };
+    invalidate t g.output;
+    Set_drive { inst; value = g.cell.drive_res }
   | Set_pin_cap { inst; value } ->
-    let gi = gate_of t inst in
+    let g = find_gate t.d inst in
     if not (Float.is_finite value && value >= 0.) then
       fail "gate %s: input pin capacitance must be non-negative" inst;
-    let old = gi.gi_cell.input_cap in
-    let cell = { gi.gi_cell with input_cap = value } in
-    set_gate_cell t.d ~inst ~cell;
-    gi.gi_cell <- cell;
-    List.iter (invalidate t) (distinct gi.gi_inputs);
-    Set_pin_cap { inst; value = old }
+    set_gate_cell t.d ~inst ~cell:{ g.cell with input_cap = value };
+    List.iter (invalidate t) (distinct g.inputs);
+    Set_pin_cap { inst; value = g.cell.input_cap }
   | Set_intrinsic { inst; value } ->
-    let gi = gate_of t inst in
+    let g = find_gate t.d inst in
     if not (Float.is_finite value && value >= 0.) then
       fail "gate %s: intrinsic delay must be non-negative" inst;
-    let old = gi.gi_cell.intrinsic in
-    let cell = { gi.gi_cell with intrinsic = value } in
-    set_gate_cell t.d ~inst ~cell;
-    gi.gi_cell <- cell;
+    set_gate_cell t.d ~inst ~cell:{ g.cell with intrinsic = value };
     (* no re-solve: the intrinsic enters arrivals (pulled bitwise by
        the forward sweep) and the backward through-requirement at the
        gate's input nets, which must be re-visited *)
-    List.iter
-      (fun n -> Hashtbl.replace t.req_seed n ())
-      (distinct gi.gi_inputs);
-    Set_intrinsic { inst; value = old }
+    List.iter (fun n -> Hashtbl.replace t.req_seed n ()) (distinct g.inputs);
+    Set_intrinsic { inst; value = g.cell.intrinsic }
   | Set_constraint { net; required } ->
     let old = List.assoc_opt net (constraints t.d) in
     set_required t.d ~net ~required:(Some required);

@@ -12,10 +12,14 @@
     ({!analyze}, i.e. [Sta.analyze]) is the pass in which every net is
     dirty.
 
-    A session loads a design once — connectivity tables, wave
-    schedule, one all-dirty pass against a private structure cache —
-    then accepts a stream of typed {!edit}s and re-times only the
-    {e dirty cone}.
+    The engine keeps no copy of the design's connectivity: its checks,
+    schedule and passes read the design's own index
+    ({!Timing.find_gate}, {!Timing.net_drivers}, {!Timing.net_sinks}),
+    which topology edits keep current as they write the design.
+
+    A session loads a design once — wave schedule, one all-dirty pass
+    against a private structure cache — then accepts a stream of typed
+    {!edit}s and re-times only the {e dirty cone}.
 
     {b Bit-identity contract.}  After any sequence of applied edits,
     {!retime}'s report has bit-identical [nets], [critical_arrival],
@@ -95,8 +99,9 @@ val create :
   ?reduce:bool ->
   Timing.design ->
   t
-(** Load a design: build connectivity tables and the wave schedule,
-    then run one all-dirty pass against the session's fresh cache.
+(** Load a design: check it against its connectivity index, build the
+    wave schedule, then run one all-dirty pass against the session's
+    fresh cache.
     The session owns the design — callers must not mutate it behind
     the session's back.  Raises what [Sta.analyze] raises ([Malformed],
     [Not_a_dag]), and [Invalid_argument] on negative [jobs]. *)

@@ -27,17 +27,33 @@ type gate = {
   cell : cell;
   inputs : string list; (* net names *)
   output : string; (* net name *)
+  seq : int; (* declaration position: 0 for the first gate declared *)
 }
 
 type pi = { pi_arrival : float; pi_slew : float }
 
+(* The design owns its connectivity index: the instance table, the
+   declaration order, and per net its drivers and its sinks, all by
+   instance name, so a cell edit rewrites one [gates] entry and leaves
+   the rest alone.  [add_gate] and [set_gate_inputs], the only two
+   topology writers, keep it current; every layer reads it (the solve
+   path, the engine's schedule and checks, paths, the DAG, lint), so
+   nothing rebuilds it and no pass runs lazily inside a pool task. *)
 type design = {
   vdd : float;
   threshold : float;
-  mutable gates : gate list;
+  gates : (string, gate) Hashtbl.t; (* instance -> gate *)
+  mutable order : string list; (* instances, newest declared first *)
+  drivers : (string, string list) Hashtbl.t;
+      (* net -> instances whose output it is, in declaration order *)
+  sinks : (string, string list) Hashtbl.t;
+      (* net -> instances listing it among their inputs, newest declared
+         first, one entry per gate however many pins it uses; a net
+         with no sink has no entry *)
   nets : (string, segment list) Hashtbl.t;
   pis : (string, pi) Hashtbl.t;
   mutable pos : string list;
+  po_set : (string, unit) Hashtbl.t;
   required : (string, float) Hashtbl.t;
       (* net -> required arrival time (a timing constraint endpoint) *)
   required_lines : (string, int) Hashtbl.t;
@@ -61,19 +77,43 @@ let create ?(vdd = 5.) ?(threshold = 0.5) () =
     invalid_arg "Sta.create: threshold must be in (0, 1)";
   { vdd;
     threshold;
-    gates = [];
+    gates = Hashtbl.create 16;
+    order = [];
+    drivers = Hashtbl.create 16;
+    sinks = Hashtbl.create 16;
     nets = Hashtbl.create 16;
     pis = Hashtbl.create 4;
     pos = [];
+    po_set = Hashtbl.create 4;
     required = Hashtbl.create 4;
     required_lines = Hashtbl.create 4;
     clock = None;
     clock_ln = None }
 
+(* lookups on the engine's per-net paths: no allocation on a hit *)
+let find_gate (d : design) inst =
+  match Hashtbl.find d.gates inst with
+  | g -> g
+  | exception Not_found -> malformed "unknown gate instance %s" inst
+
+let net_drivers (d : design) net =
+  match Hashtbl.find d.drivers net with l -> l | exception Not_found -> []
+
+let net_sinks (d : design) net =
+  match Hashtbl.find d.sinks net with l -> l | exception Not_found -> []
+
 let add_gate (d : design) ~inst ~cell ~inputs ~output =
-  if List.exists (fun g -> g.inst = inst) d.gates then
-    malformed "duplicate gate instance %s" inst;
-  d.gates <- { inst; cell; inputs; output } :: d.gates
+  if Hashtbl.mem d.gates inst then malformed "duplicate gate instance %s" inst;
+  Hashtbl.replace d.gates inst
+    { inst; cell; inputs; output; seq = Hashtbl.length d.gates };
+  d.order <- inst :: d.order;
+  Hashtbl.replace d.drivers output (net_drivers d output @ [ inst ]);
+  List.iter
+    (fun net ->
+      match net_sinks d net with
+      | newest :: _ when newest = inst -> () (* a second pin on this net *)
+      | sinks -> Hashtbl.replace d.sinks net (inst :: sinks))
+    inputs
 
 let add_net (d : design) ~name ~segments =
   if Hashtbl.mem d.nets name then malformed "duplicate net %s" name;
@@ -88,7 +128,8 @@ let add_primary_input (d : design) ~net ?(arrival = 0.) ?(slew = 0.) () =
   Hashtbl.replace d.pis net { pi_arrival = arrival; pi_slew = slew }
 
 let add_primary_output (d : design) ~net =
-  if List.mem net d.pos then malformed "duplicate primary output %s" net;
+  if Hashtbl.mem d.po_set net then malformed "duplicate primary output %s" net;
+  Hashtbl.replace d.po_set net ();
   d.pos <- net :: d.pos
 
 let add_constraint ?line (d : design) ~net ~required =
@@ -122,10 +163,10 @@ let constraints (d : design) =
 
 (* --- in-place edits (the Session layer's vocabulary) ---------------
    Each mutator validates first and only then mutates, so a rejected
-   edit leaves the design untouched.  [update_gate] maps over the gate
-   list in place of the edited record: gate order is load-bearing
-   (sink order, DAG edge order, worst-input tie-breaks all follow
-   declaration order), so edits must never reorder it. *)
+   edit leaves the design untouched.  Gate order is load-bearing (sink
+   order, DAG edge order, worst-input tie-breaks all follow declaration
+   order), so edits must never reorder it: a gate keeps its declaration
+   position whatever is edited. *)
 
 let validate_segments net segments =
   if segments = [] then malformed "net %s has no segments" net;
@@ -142,27 +183,34 @@ let replace_net_segments (d : design) ~net ~segments =
   validate_segments net segments;
   Hashtbl.replace d.nets net segments
 
-let update_gate (d : design) ~inst f =
-  let found = ref false in
-  let gates =
-    List.map
-      (fun g ->
-        if g.inst = inst then begin
-          found := true;
-          f g
-        end
-        else g)
-      d.gates
-  in
-  if not !found then malformed "unknown gate instance %s" inst;
-  d.gates <- gates
-
 let set_gate_cell (d : design) ~inst ~cell =
-  update_gate d ~inst (fun g -> { g with cell })
+  let g = find_gate d inst in
+  Hashtbl.replace d.gates inst { g with cell }
 
+(* The instance leaves the sink lists of the nets it no longer lists
+   and joins those of its new nets at its declaration position, so
+   every list reads as if the design had been declared with the new
+   inputs. *)
 let set_gate_inputs (d : design) ~inst ~inputs =
   if inputs = [] then malformed "gate %s has no inputs" inst;
-  update_gate d ~inst (fun g -> { g with inputs })
+  let g = find_gate d inst in
+  List.iter
+    (fun net ->
+      if not (List.mem net inputs) then
+        match List.filter (fun s -> s <> inst) (net_sinks d net) with
+        | [] -> Hashtbl.remove d.sinks net
+        | sinks -> Hashtbl.replace d.sinks net sinks)
+    (List.sort_uniq compare g.inputs);
+  let rec file = function
+    | s :: rest when (find_gate d s).seq > g.seq -> s :: file rest
+    | sinks -> inst :: sinks
+  in
+  List.iter
+    (fun net ->
+      if not (List.mem net g.inputs) then
+        Hashtbl.replace d.sinks net (file (net_sinks d net)))
+    (List.sort_uniq compare inputs);
+  Hashtbl.replace d.gates inst { g with inputs }
 
 let set_required (d : design) ~net ~required =
   match required with
@@ -189,7 +237,11 @@ let primary_input (d : design) net =
     (Hashtbl.find_opt d.pis net)
 
 let gate_details (d : design) =
-  List.rev_map (fun g -> (g.inst, g.cell, g.inputs, g.output)) d.gates
+  List.rev_map
+    (fun inst ->
+      let g = find_gate d inst in
+      (g.inst, g.cell, g.inputs, g.output))
+    d.order
 
 type transition = Rise | Fall
 
@@ -261,12 +313,13 @@ type gate_view = {
 
 let gate_views (d : design) =
   List.rev_map
-    (fun g ->
+    (fun inst ->
+      let g = find_gate d inst in
       { gv_inst = g.inst;
         gv_cell = g.cell.cell_name;
         gv_inputs = g.inputs;
         gv_output = g.output })
-    d.gates
+    d.order
 
 let net_names (d : design) =
   Hashtbl.fold (fun k _ acc -> k :: acc) d.nets [] |> List.sort compare
@@ -277,12 +330,6 @@ let primary_input_nets (d : design) =
   Hashtbl.fold (fun k _ acc -> k :: acc) d.pis [] |> List.sort compare
 
 let primary_output_nets (d : design) = List.rev d.pos
-
-let gate_cells (d : design) =
-  List.rev_map (fun g -> (g.inst, g.cell)) d.gates
-
-(* the sinks of a net are the gates listing it among their inputs *)
-let sinks_of (d : design) net = List.filter (fun g -> List.mem net g.inputs) d.gates
 
 (* The candidate-net enumeration the critical-arrival fold runs over.
    Selection is by strict [>], first-seen wins, so the order is part of
@@ -298,11 +345,10 @@ let critical_candidates (d : design) =
 (* One vertex per referenced net name (declared nets, PI/PO/constraint
    targets, and every gate pin), one edge from each distinct input net
    of a gate to its output net: the edges the engine's wave schedule
-   levels declared nets along (Session builds them from its own
-   connectivity tables).  This graph also tolerates cycles and
-   undeclared names, so the lint layer's cycle check and backward
-   passes (constraint coverage, dominated constraints) run over it
-   before any timing does.  Building it is one pass over the gates. *)
+   levels declared nets along, read from the same index.  This graph
+   also tolerates cycles and undeclared names, so the lint layer's
+   cycle check and backward passes (constraint coverage, dominated
+   constraints) run over it before any timing does. *)
 module Dag = struct
   type t = {
     nets : string array;  (* sorted, unique *)
@@ -318,39 +364,34 @@ module Dag = struct
     Hashtbl.iter (fun n _ -> add n) d.pis;
     List.iter add d.pos;
     Hashtbl.iter (fun n _ -> add n) d.required;
-    List.iter
-      (fun g ->
-        add g.output;
-        List.iter add g.inputs)
-      d.gates;
+    Hashtbl.iter (fun n _ -> add n) d.drivers;
+    Hashtbl.iter (fun n _ -> add n) d.sinks;
     let nets =
       Hashtbl.fold (fun k () acc -> k :: acc) names []
       |> List.sort compare |> Array.of_list
     in
     let index_tbl = Hashtbl.create (Array.length nets) in
     Array.iteri (fun i n -> Hashtbl.replace index_tbl n i) nets;
-    let n = Array.length nets in
-    let succ_lists = Array.make n [] and pred_lists = Array.make n [] in
-    List.iter
-      (fun g ->
-        let oi = Hashtbl.find index_tbl g.output in
-        (* one edge per distinct input net, even when a gate lists a
-           net on several pins *)
-        let seen = Hashtbl.create 4 in
-        List.iter
-          (fun inp ->
-            if not (Hashtbl.mem seen inp) then begin
-              Hashtbl.replace seen inp ();
-              let ii = Hashtbl.find index_tbl inp in
-              succ_lists.(ii) <- oi :: succ_lists.(ii);
-              pred_lists.(oi) <- ii :: pred_lists.(oi)
-            end)
-          g.inputs)
-      (List.rev d.gates);
+    let index n = Hashtbl.find index_tbl n in
+    (* both edge lists in gate declaration order: a net's successors
+       are its sink gates' outputs (one per gate), its predecessors
+       each driver's distinct inputs in pin order *)
+    let rec distinct = function
+      | [] -> []
+      | x :: rest -> x :: distinct (List.filter (fun y -> y <> x) rest)
+    in
+    let succs net =
+      List.rev_map (fun s -> index (find_gate d s).output) (net_sinks d net)
+    in
+    let preds net =
+      List.concat_map
+        (fun s -> List.map index (distinct (find_gate d s).inputs))
+        (net_drivers d net)
+    in
     { nets;
       index_tbl;
-      succs = Array.map (fun l -> Array.of_list (List.rev l)) succ_lists;
-      preds = Array.map (fun l -> Array.of_list (List.rev l)) pred_lists }
+      succs = Array.map (fun n -> Array.of_list (succs n)) nets;
+      preds = Array.map (fun n -> Array.of_list (preds n)) nets }
 
   let index t net = Hashtbl.find_opt t.index_tbl net
 end
@@ -379,10 +420,12 @@ let net_circuit (d : design) ~net ~driver_res ~slew =
           (Printf.sprintf "cw%d" i)
           seg.seg_to "0" seg.cap)
     segments;
-  (* sink loads *)
+  (* sink loads, newest-declared sink first: the order fixes the pin
+     numbering, the node order and so the cache signature *)
   let sink_nodes = ref [] in
   List.iteri
-    (fun i g ->
+    (fun i inst ->
+      let g = find_gate d inst in
       (* a sink attaches at the net node named after the instance *)
       let attached =
         List.exists (fun seg -> seg.seg_to = g.inst) segments
@@ -394,7 +437,7 @@ let net_circuit (d : design) ~net ~driver_res ~slew =
           (Printf.sprintf "cpin%d" i)
           g.inst "0" g.cell.input_cap;
       sink_nodes := (g.inst, Circuit.Netlist.node b g.inst) :: !sink_nodes)
-    (sinks_of d net);
+    (net_sinks d net);
   (Circuit.Netlist.freeze b, List.rev !sink_nodes)
 
 (* ------------------------------------------------------------------ *)
@@ -774,11 +817,6 @@ let solve_net (d : design) ~model ~sparse ~reduce ~view ~shard ~net ~driver_res
    arrival. *)
 let critical_paths (d : design) (r : report) ~k =
   if k < 0 then invalid_arg "Sta.critical_paths: k must be non-negative";
-  let gates = List.rev d.gates in
-  let gate_by_inst : (string, gate) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun g -> Hashtbl.replace gate_by_inst g.inst g) gates;
-  let driver_gate : (string, gate) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun g -> Hashtbl.replace driver_gate g.output g) gates;
   let timed : (string, net_timing) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun nt -> Hashtbl.replace timed nt.net_name nt) r.nets;
   let sink_results : (string * string, sink_timing) Hashtbl.t =
@@ -861,8 +899,10 @@ let critical_paths (d : design) (r : report) ~k =
             | Rise -> nt.driver_arrival
             | Fall -> nt.driver_arrival_fall )
       in
-      match Hashtbl.find_opt driver_gate net with
-      | None ->
+      (* a report exists only for a design whose nets have at most one
+         source *)
+      match net_drivers d net with
+      | [] ->
         (* a primary input sources the path; its arrival card is the
            path's input arrival (same for both transitions) *)
         let input_arrival =
@@ -881,7 +921,8 @@ let critical_paths (d : design) (r : report) ~k =
             st_arrival = arrival }
         in
         (input_arrival, stage :: acc)
-      | Some g ->
+      | inst :: _ ->
+        let g = find_gate d inst in
         let stage =
           { st_net = net;
             st_pin = pin_opt;
@@ -923,16 +964,15 @@ let critical_paths (d : design) (r : report) ~k =
 let corner_design (d : design) (c : Circuit.Corner.t) =
   let d' = create ~vdd:d.vdd ~threshold:d.threshold () in
   List.iter
-    (fun g ->
-      let cl = g.cell in
-      add_gate d' ~inst:g.inst
+    (fun (inst, cl, inputs, output) ->
+      add_gate d' ~inst
         ~cell:
           (cell ~name:cl.cell_name
              ~drive_res:(cl.drive_res *. c.Circuit.Corner.cell_drive)
              ~input_cap:(cl.input_cap *. c.Circuit.Corner.cell_cap)
              ~intrinsic:(cl.intrinsic *. c.Circuit.Corner.cell_intrinsic))
-        ~inputs:g.inputs ~output:g.output)
-    (List.rev d.gates);
+        ~inputs ~output)
+    (gate_details d);
   Hashtbl.iter
     (fun name segs ->
       add_net d' ~name

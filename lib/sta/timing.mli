@@ -43,7 +43,9 @@ val create : ?vdd:float -> ?threshold:float -> unit -> design
 val add_gate :
   design -> inst:string -> cell:cell -> inputs:string list -> output:string -> unit
 (** Declare a gate instance: [inputs] and [output] are net names.  The
-    output net must be driven by exactly one gate or primary input. *)
+    output net must be driven by exactly one gate or primary input.
+    Files the instance into the design's connectivity index (see
+    {!find_gate}).  Raises [Malformed] on a duplicate instance name. *)
 
 val add_net : design -> name:string -> segments:segment list -> unit
 (** Declare a net's interconnect tree.  Sinks attach (with their input
@@ -91,6 +93,44 @@ val constraint_line : design -> string -> int option
 val clock_line : design -> int option
 (** Source line of the [clock] card, when recorded. *)
 
+(** {2 Connectivity index}
+
+    A design owns one index of its connectivity — the instance table,
+    the declaration order, and each net's drivers and sinks — kept
+    current by {!add_gate} and {!set_gate_inputs} as the design is
+    written, never built on first read, so concurrent readers (the
+    timing engine's worker domains) only ever read it.  Every layer
+    answers its driver, sink and instance questions here: the per-net
+    solve, the engine's checks and wave schedule, {!critical_paths},
+    {!Dag} and lint's design checks.  The orders are load-bearing: sink
+    order fixes a stage circuit's pin numbering, its cache signature
+    and the order of sinks in a report. *)
+
+type gate = private {
+  inst : string;
+  cell : cell;
+  inputs : string list;  (** input nets, in pin order *)
+  output : string;  (** output net *)
+  seq : int;  (** declaration position: 0 for the first gate declared *)
+}
+(** A gate instance as the index stores it; {!set_gate_cell} and
+    {!set_gate_inputs} replace it. *)
+
+val find_gate : design -> string -> gate
+(** A gate instance, in O(1) and without allocating.  Raises
+    [Malformed] on an unknown instance. *)
+
+val net_drivers : design -> string -> string list
+(** The instances whose output is the net, in declaration order
+    ([[]] for a primary input or an undriven net; more than one only in
+    a design the engine rejects).  O(1). *)
+
+val net_sinks : design -> string -> string list
+(** The instances listing the net among their inputs, one entry per
+    gate however many of its pins are on the net, newest declared first
+    — the order {!net_circuit} numbers sink pins in and a report lists
+    a net's sinks in.  O(1); an edit never reorders it. *)
+
 (** {2 In-place edits}
 
     The ECO vocabulary ({!Session}): each mutator validates first and
@@ -107,12 +147,15 @@ val replace_net_segments : design -> net:string -> segments:segment list -> unit
 
 val set_gate_cell : design -> inst:string -> cell:cell -> unit
 (** Replace a gate instance's cell (drive resistance, pin capacitance,
-    intrinsic delay).  Raises [Malformed] on an unknown instance. *)
+    intrinsic delay): one instance-table entry, the index's lists are
+    untouched.  Raises [Malformed] on an unknown instance. *)
 
 val set_gate_inputs : design -> inst:string -> inputs:string list -> unit
 (** Replace a gate instance's input net list (pin order preserved as
-    given).  Raises [Malformed] on an unknown instance or an empty
-    list; net existence is the caller's contract (as for
+    given).  The instance leaves the sink lists of the nets it drops
+    and joins those of its new nets at its declaration position, in
+    O(fanout) per net.  Raises [Malformed] on an unknown instance or an
+    empty list; net existence is the caller's contract (as for
     {!add_gate}). *)
 
 val set_required : design -> net:string -> required:float option -> unit
@@ -132,9 +175,9 @@ val primary_input : design -> string -> (float * float) option
 
 val gate_details : design -> (string * cell * string list * string) list
 (** [(instance, cell, input nets, output net)] per gate, in
-    declaration order — the full-record counterpart of
-    {!gate_views}/{!gate_cells} for layers that need the numeric cell
-    values (the {!Session} layer's connectivity tables). *)
+    declaration order — the full-record counterpart of {!gate_views},
+    for whole-design walks that need the numeric cell values (the
+    engine's up-front checks, design writers). *)
 
 (** {2 Structural views}
 
@@ -163,17 +206,13 @@ val primary_input_nets : design -> string list
 val primary_output_nets : design -> string list
 (** Declared primary outputs, in declaration order. *)
 
-val gate_cells : design -> (string * cell) list
-(** [(instance, cell)] per gate, in declaration order — the bulk
-    accessor static analyses use to build their own lookup tables
-    without going quadratic. *)
-
 (** The net-level timing DAG: one vertex per referenced net name
     (declared nets, PI/PO and constraint targets, every gate pin),
     sorted; one edge from each distinct input net of a gate to its
-    output net — the edges along which the timing engine levels its
-    waves.  Exported so fixpoint passes (lint's cycle check and the
-    backward constraint-coverage family) can run over the same
+    output net, successors and predecessors in gate declaration order.
+    Built from the connectivity index the timing engine levels its
+    waves over, so fixpoint passes (lint's cycle check and the
+    backward constraint-coverage family) run over the engine's own
     graph.  Cyclic designs still build a [t] — the edges simply close
     a cycle — so static analyses can diagnose them before
     [Sta.analyze] raises [Not_a_dag]. *)

@@ -16,6 +16,10 @@ let exe () =
 
 let deck () = locate [ "../../decks/fig16.sp"; "decks/fig16.sp" ]
 let design () = locate [ "../../decks/adder_stage.sta"; "decks/adder_stage.sta" ]
+let fanout () = locate [ "../../decks/fanout.sta"; "decks/fanout.sta" ]
+
+let multi_driver () =
+  locate [ "../../decks/lint/multi_driver.sta"; "decks/lint/multi_driver.sta" ]
 
 (* run the binary, feeding [stdin_text]; returns (exit code, stdout) *)
 let run ?(stdin_text = "") args =
@@ -90,16 +94,41 @@ let test_serve_stdio () =
     lines
 
 (* Golden transcripts: the user-visible timing report on the adder
-   deck.  Each file holds the run's exit code on its first line, then
-   its stdout, recorded once; every run must reproduce its recording
-   byte for byte.  The report is %.4g text, so it is stable across libm
-   builds. *)
+   deck, and the orders connectivity fixes — the sinks of a fan-out net
+   as the report lists them (newest-declared first, one per gate even
+   when a gate lists the net on two pins), and the sources lint names
+   for a multiply-driven net (declaration order).  Each file holds the
+   run's exit code on its first line, then its stdout, recorded once;
+   every run must reproduce its recording byte for byte.  The report is
+   %.4g text, so it is stable across libm builds.  A lint transcript
+   names its deck, so the deck path as run is rewritten to its
+   repository-relative form. *)
 let golden_runs () =
   let corners = locate [ "../../decks/corners.json"; "decks/corners.json" ] in
   [ ("timing_slack_top3.txt", [ "timing"; "--slack"; "--top-k"; "3"; design () ]);
     ("timing_top2.txt", [ "timing"; "--top-k"; "2"; design () ]);
     ( "timing_corners_top2.txt",
-      [ "timing"; "--corners"; corners; "--top-k"; "2"; design () ] ) ]
+      [ "timing"; "--corners"; corners; "--top-k"; "2"; design () ] );
+    ("timing_fanout_top1.txt", [ "timing"; "--top-k"; "1"; fanout () ]);
+    ("lint_multi_driver.txt", [ "lint"; multi_driver () ]) ]
+
+(* every occurrence of [sub] in [s] replaced by [by] *)
+let replace_all ~sub ~by s =
+  let n = String.length sub and b = Buffer.create (String.length s) in
+  let rec go i =
+    if i > String.length s - n then
+      Buffer.add_string b (String.sub s i (String.length s - i))
+    else if String.sub s i n = sub then begin
+      Buffer.add_string b by;
+      go (i + n)
+    end
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
 
 let test_golden () =
   List.iter
@@ -107,6 +136,9 @@ let test_golden () =
       let path = locate [ "golden/" ^ file; "test/cli/golden/" ^ file ] in
       let expected = In_channel.with_open_bin path In_channel.input_all in
       let code, out = run args in
+      let out =
+        replace_all ~sub:(multi_driver ()) ~by:"decks/lint/multi_driver.sta" out
+      in
       Alcotest.(check string) file expected (Printf.sprintf "exit %d\n%s" code out))
     (golden_runs ())
 

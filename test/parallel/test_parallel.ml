@@ -1,7 +1,7 @@
 (* The domain pool's contract: ordered results, lowest-index failure
-   funneling, schedule-independence, reusability.  The suite forces
-   real worker domains even on single-core machines so the cross-domain
-   paths are exercised wherever CI runs. *)
+   funneling, schedule-independence, reusability, the core-count cap.
+   The suite forces real worker domains even on single-core machines
+   so the cross-domain paths are exercised wherever CI runs. *)
 
 let () = Unix.putenv "AWESIM_FORCE_DOMAINS" "1"
 
@@ -129,6 +129,26 @@ let test_jobs_accessor () =
       check Alcotest.int "jobs" 4 (Parallel.jobs pool));
   check Alcotest.bool "default_jobs >= 1" true (Parallel.default_jobs () >= 1)
 
+(* without forcing, a pool never runs more domains than the machine has
+   cores; forcing restores the requested count *)
+let test_jobs_cap () =
+  let cores = Parallel.default_jobs () in
+  let forcing v f =
+    Unix.putenv "AWESIM_FORCE_DOMAINS" v;
+    Fun.protect ~finally:(fun () -> Unix.putenv "AWESIM_FORCE_DOMAINS" "1") f
+  in
+  forcing "0" (fun () ->
+      Parallel.with_pool ~jobs:(cores + 1) (fun pool ->
+          check Alcotest.int "capped at the core count" cores (Parallel.jobs pool);
+          check (Alcotest.array Alcotest.int) "capped pool maps"
+            (Array.init 10 (fun i -> i + 1))
+            (Parallel.map pool succ (Array.init 10 Fun.id)));
+      Parallel.with_pool ~jobs:1 (fun pool ->
+          check Alcotest.int "below the cap: as requested" 1 (Parallel.jobs pool)));
+  forcing "1" (fun () ->
+      Parallel.with_pool ~jobs:(cores + 1) (fun pool ->
+          check Alcotest.int "forced: as requested" (cores + 1) (Parallel.jobs pool)))
+
 let () =
   Alcotest.run "parallel"
     [ ( "pool",
@@ -145,4 +165,6 @@ let () =
           Alcotest.test_case "sequential fallback" `Quick
             test_sequential_fallback;
           Alcotest.test_case "jobs validation" `Quick test_jobs_validation;
-          Alcotest.test_case "jobs accessor" `Quick test_jobs_accessor ] ) ]
+          Alcotest.test_case "jobs accessor" `Quick test_jobs_accessor;
+          Alcotest.test_case "jobs capped at the core count" `Quick
+            test_jobs_cap ] ) ]

@@ -492,8 +492,11 @@ let check_reports_equal name (r1 : Sta.report) (rn : Sta.report) =
    [Sta.analyze] but the per-net solve ([Sta.solve_net] without a
    cache), so agreement checks the engine's schedule, record step,
    backward pass, slack emission, critical selection and failure
-   isolation.  Its [stats] are the solve work counters of its own
-   window. *)
+   isolation.  It derives connectivity by scanning the gate list, not
+   from the design's index, and checks that every solve times exactly
+   the sinks that scan finds, in its order — so the index is checked
+   too, after every edit the session walls make.  Its [stats] are the
+   solve work counters of its own window. *)
 let reference ?(model = Sta.Awe_auto) ?(sparse = false) ?(reduce = true)
     ?(strict = true) d =
   let gates = Sta.gate_details d in
@@ -519,6 +522,17 @@ let reference ?(model = Sta.Awe_auto) ?(sparse = false) ?(reduce = true)
           inst;
       Hashtbl.replace driver output g;
       Hashtbl.replace by_inst inst g)
+    gates;
+  (* each net's sink instances: newest declared first, one per gate
+     however many of its pins are on the net *)
+  let sinks = Hashtbl.create 64 in
+  List.iter
+    (fun (inst, _, inputs, _) ->
+      List.iter
+        (fun n ->
+          let l = Option.value (Hashtbl.find_opt sinks n) ~default:[] in
+          if not (List.mem inst l) then Hashtbl.replace sinks n (inst :: l))
+        inputs)
     gates;
   (* topological level: primary inputs 0, a gate output one past its
      latest input; nets never levelled are unreachable *)
@@ -593,6 +607,11 @@ let reference ?(model = Sta.Awe_auto) ?(sparse = false) ?(reduce = true)
           | exception Sta.Malformed msg when not strict ->
             failures := { Sta.failed_net = net; reason = msg } :: !failures
           | timings, _ ->
+            let expected = Option.value (Hashtbl.find_opt sinks net) ~default:[] in
+            let got = List.map (fun (inst, _, _, _) -> inst) timings in
+            if got <> expected then
+              Alcotest.failf "reference: net %s has sinks [%s], solve_net timed [%s]"
+                net (String.concat "; " expected) (String.concat "; " got);
             let sinks =
               List.map
                 (fun (inst, dly, dlf, slw) ->
@@ -1799,6 +1818,63 @@ let swap_fixture () =
   Sta.set_clock d ~period:2e-9;
   d
 
+(* Net m feeds g1, g2, g3 (declared in that order; g3 on two pins);
+   net b's wire also reaches all three, so they can move between the
+   two nets. *)
+let fanout_fixture () =
+  let d = Sta.create () in
+  Sta.add_gate d ~inst:"g0" ~cell:buf ~inputs:[ "a" ] ~output:"m";
+  Sta.add_gate d ~inst:"g1" ~cell:inv ~inputs:[ "m" ] ~output:"o1";
+  Sta.add_gate d ~inst:"g2" ~cell:buf ~inputs:[ "m" ] ~output:"o2";
+  Sta.add_gate d ~inst:"g3" ~cell:inv ~inputs:[ "m"; "m" ] ~output:"o3";
+  let fan from_ =
+    List.mapi
+      (fun i g -> seg ~from_ ~to_:g ~r:(90. +. (40. *. float_of_int i)) ~c:20e-15)
+      [ "g1"; "g2"; "g3" ]
+  in
+  Sta.add_net d ~name:"a" ~segments:[ seg ~from_:"drv" ~to_:"g0" ~r:100. ~c:20e-15 ];
+  Sta.add_net d ~name:"m"
+    ~segments:(seg ~from_:"drv" ~to_:"t" ~r:150. ~c:30e-15 :: fan "t");
+  Sta.add_net d ~name:"b"
+    ~segments:(seg ~from_:"drv" ~to_:"u" ~r:120. ~c:25e-15 :: fan "u");
+  List.iter
+    (fun o ->
+      Sta.add_net d ~name:o ~segments:[ seg ~from_:"drv" ~to_:"end" ~r:10. ~c:1e-15 ];
+      Sta.add_primary_output d ~net:o)
+    [ "o1"; "o2"; "o3" ];
+  Sta.add_primary_input d ~net:"a" ~slew:100e-12 ();
+  Sta.add_primary_input d ~net:"b" ~slew:150e-12 ();
+  Sta.set_clock d ~period:2e-9;
+  d
+
+(* The design's connectivity index under topology edits: a gate that
+   leaves a net and rejoins it takes back its declaration position, so
+   each sink list reads as if the design had been declared with the
+   new inputs — and the session times exactly what a cold analysis
+   (and the gate-scanning reference) of the edited design times. *)
+let test_index_order_under_edits () =
+  let d = fanout_fixture () in
+  let s = Sta.Session.create ~reduce:false ~jobs:test_jobs d in
+  let expect name m b =
+    Alcotest.(check (list string)) (name ^ ": sinks of m") m (Sta.net_sinks d "m");
+    Alcotest.(check (list string)) (name ^ ": sinks of b") b (Sta.net_sinks d "b");
+    check_session_cold name s
+  in
+  Alcotest.(check (list string)) "driver of m" [ "g0" ] (Sta.net_drivers d "m");
+  expect "declared" [ "g3"; "g2"; "g1" ] [];
+  ap s (Sta.Session.Swap_sink { inst = "g2"; from_net = "m"; to_net = "b" });
+  expect "g2 leaves m" [ "g3"; "g1" ] [ "g2" ];
+  ap s (Sta.Session.Set_inputs { inst = "g1"; inputs = [ "b"; "b" ] });
+  expect "g1 leaves m" [ "g3" ] [ "g2"; "g1" ];
+  ap s (Sta.Session.Swap_sink { inst = "g2"; from_net = "b"; to_net = "m" });
+  expect "g2 rejoins m below g3" [ "g3"; "g2" ] [ "g1" ];
+  ap s (Sta.Session.Set_inputs { inst = "g1"; inputs = [ "m"; "b" ] });
+  expect "g1 rejoins m last" [ "g3"; "g2"; "g1" ] [ "g1" ];
+  ap s (Sta.Session.Set_inputs { inst = "g3"; inputs = [ "b" ] });
+  expect "g3 moves to b" [ "g2"; "g1" ] [ "g3"; "g1" ];
+  ignore (Sta.Session.revert_all s);
+  expect "all reverted" [ "g3"; "g2"; "g1" ] []
+
 let test_session_topology_edits () =
   let s = Sta.Session.create ~reduce:false (swap_fixture ()) in
   check_session_cold "pre-swap" s;
@@ -1844,7 +1920,12 @@ let test_session_apply_validation () =
   | Ok r -> check_reports_match "rejected edits mutate nothing" r r0
   | Error m -> Alcotest.failf "retime: %s" m
 
-(* random edit stream over the shared random layered DAGs *)
+(* random edit stream over the shared random layered DAGs.  Topology
+   edits only rewire a gate among the nets whose wire already reaches
+   it (in [random_design], its original inputs, all declared before
+   it), so every edit applies and no cycle can form; they exercise
+   sinks leaving and rejoining nets, pin order, and a gate on one net
+   twice. *)
 let random_edit st d =
   let pick l = List.nth l (Random.State.int st (List.length l)) in
   let nets = Sta.net_names d in
@@ -1857,7 +1938,24 @@ let random_edit st d =
     let inst, _, _, _ = pick (Sta.gate_details d) in
     inst
   in
-  match Random.State.int st 8 with
+  let reaching inst =
+    List.filter
+      (fun n ->
+        List.exists
+          (fun s -> s.Sta.seg_to = inst)
+          (Option.get (Sta.net_segments d n)))
+      nets
+  in
+  match Random.State.int st 10 with
+  | 8 ->
+    let inst, _, inputs, _ = pick (Sta.gate_details d) in
+    Sta.Session.Swap_sink
+      { inst; from_net = pick inputs; to_net = pick (reaching inst) }
+  | 9 ->
+    let inst = gate () in
+    let nets = reaching inst in
+    Sta.Session.Set_inputs
+      { inst; inputs = List.init (1 + Random.State.int st 3) (fun _ -> pick nets) }
   | 0 | 1 ->
     seg_edit (fun net index ->
         Sta.Session.Set_resistance
@@ -2114,6 +2212,8 @@ let () =
           Alcotest.test_case "revert restores report and cache" `Quick
             test_session_revert;
           Alcotest.test_case "topology edits" `Quick test_session_topology_edits;
+          Alcotest.test_case "sink order under topology edits" `Quick
+            test_index_order_under_edits;
           Alcotest.test_case "rejected edits mutate nothing" `Quick
             test_session_apply_validation;
           Alcotest.test_case "metamorphic edit streams" `Slow
