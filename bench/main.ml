@@ -1206,12 +1206,17 @@ let sta_scale ?(smoke = false) () =
    the dirty cone of an edit — the edited net is re-solved, downstream
    arrivals are rebuilt from the per-net memos by arithmetic alone —
    so a steady-state single-element edit must beat a cold full
-   [analyze] of the same design by a wide margin.  The gate is the
-   headline of the ECO story: >= 5x at jobs=1 (the pool is irrelevant
-   when one net is dirty).  Identity checks pin the bit-identity
-   contract: the incremental report equals a cold analyze of the
-   edited design, field for field, at jobs 1 and 4, and the session
-   cache fingerprint equals the cold cache's. *)
+   [analyze] of the same design by a wide margin.  Two gates: >= 5x at
+   jobs=1 (the pool is irrelevant when one net is dirty), and a counter
+   gate that holds on any host — the endpoint edit's forward worklist
+   visits at most twice the nets it re-solves, so the forward pass
+   follows the cone rather than the design.  (Its backward cone is
+   the whole fan-in: the corner net sits on the binding path of almost
+   every upstream net, so backward visits are reported, not gated.)
+   Identity checks pin the bit-identity contract: the incremental
+   report equals a cold analyze of the edited design, field for field,
+   at jobs 1 and 4, and the session cache fingerprint equals the cold
+   cache's. *)
 let sta_eco ?(smoke = false) () =
   section
     (if smoke then "STA ECO — smoke (incremental-vs-cold gate + identities)"
@@ -1263,7 +1268,8 @@ let sta_eco ?(smoke = false) () =
     Sta.Session.create ~model:Sta.Awe_auto ~sparse:true ~jobs:1 (mk_design ())
   in
   (* steady-state loop over one edit site: alternate the two values,
-     one retime per edit; dirty-cone size comes from the totals delta *)
+     one retime per edit; dirty-cone size and worklist visits come from
+     the totals delta *)
   let measure_eco label net =
     let flip = ref false in
     let before = Sta.Session.totals s in
@@ -1279,32 +1285,44 @@ let sta_eco ?(smoke = false) () =
           | Error msg -> failwith ("sta_eco: retime failed: " ^ msg))
     in
     let after = Sta.Session.totals s in
-    let retimes =
-      after.Sta.Session.total_retimes - before.Sta.Session.total_retimes
+    let per_retime field =
+      float_of_int (field after - field before)
+      /. float_of_int
+           (max 1
+              (after.Sta.Session.total_retimes
+              - before.Sta.Session.total_retimes))
     in
-    let dirty =
-      float_of_int
-        (after.Sta.Session.total_dirty - before.Sta.Session.total_dirty)
-      /. float_of_int (max 1 retimes)
-    in
+    let dirty = per_retime (fun x -> x.Sta.Session.total_dirty) in
+    let fwd = per_retime (fun x -> x.Sta.Session.total_forward_visits) in
+    let bwd = per_retime (fun x -> x.Sta.Session.total_backward_visits) in
     note
       "eco %-9s jobs=1  median %8.2f ms  [%.2f .. %.2f]  speedup %5.1fx  \
-       (%.1f of %d nets re-solved per retime)"
+       (%.1f of %d nets re-solved, %.1f / %.1f forward / backward visits \
+       per retime)"
       label (1e3 *. t.t_med) (1e3 *. t.t_min) (1e3 *. t.t_max)
-      (cold_t.t_med /. t.t_med) dirty nets;
-    (t, dirty)
+      (cold_t.t_med /. t.t_med) dirty nets fwd bwd;
+    (t, dirty, fwd, bwd)
   in
   note "cold analyze  jobs=1  median %8.2f ms  [%.2f .. %.2f]"
     (1e3 *. cold_t.t_med) (1e3 *. cold_t.t_min) (1e3 *. cold_t.t_max);
-  let eco_t, dirty_endpoint = measure_eco "endpoint" endpoint_net in
-  let mid_t, dirty_mid = measure_eco "mid-grid" mid_net in
+  let eco_t, dirty_endpoint, fwd_endpoint, bwd_endpoint =
+    measure_eco "endpoint" endpoint_net
+  in
+  let mid_t, dirty_mid, fwd_mid, bwd_mid = measure_eco "mid-grid" mid_net in
   let totals = Sta.Session.totals s in
   let speedup = cold_t.t_med /. eco_t.t_med in
   check "no full fallbacks taken" (totals.Sta.Session.total_fallbacks = 0);
-  let gate_ok = speedup >= 5. in
-  if not gate_ok then
+  let speedup_ok = speedup >= 5. in
+  if not speedup_ok then
     note "GATE FAIL: endpoint eco retime %.2f ms vs cold %.2f ms — %.1fx < 5x"
       (1e3 *. eco_t.t_med) (1e3 *. cold_t.t_med) speedup;
+  let visits_ok = fwd_endpoint <= 2. *. dirty_endpoint in
+  if not visits_ok then
+    note
+      "GATE FAIL: endpoint eco retime visits %.1f nets forward per retime, \
+       over 2x the %.1f it re-solves"
+      fwd_endpoint dirty_endpoint;
+  let gate_ok = speedup_ok && visits_ok in
   (* -- part 2: bit-identity at jobs 1 and 4 ----------------------- *)
   let identical (a : Sta.report) (b : Sta.report) =
     sta_reports_identical a b
@@ -1366,21 +1384,24 @@ let sta_eco ?(smoke = false) () =
     \  \"design\": { \"kind\": \"grid\", \"rows\": %d, \"cols\": %d, \
      \"nets\": %d },\n\
     \  \"edits\": { \"r_a\": %g, \"r_b\": %g,\n\
-    \    \"endpoint\": { \"net\": \"%s\", \"dirty_per_retime\": %.1f },\n\
-    \    \"mid\": { \"net\": \"%s\", \"dirty_per_retime\": %.1f } },\n\
+    \    \"endpoint\": { \"net\": \"%s\", \"dirty_per_retime\": %.1f, \
+     \"forward_visits_per_retime\": %.1f, \"backward_visits_per_retime\": %.1f },\n\
+    \    \"mid\": { \"net\": \"%s\", \"dirty_per_retime\": %.1f, \
+     \"forward_visits_per_retime\": %.1f, \"backward_visits_per_retime\": %.1f } },\n\
     \  \"reps\": %d,\n\
     \  \"cold_ms\": [%.3f, %.3f, %.3f],\n\
     \  \"eco_endpoint_ms\": [%.3f, %.3f, %.3f],\n\
     \  \"eco_mid_ms\": [%.3f, %.3f, %.3f],\n\
     \  \"speedup_endpoint\": %.2f, \"speedup_mid\": %.2f, \"fallbacks\": %d,\n\
-    \  \"gate_ok\": %b, \"identities_ok\": %b }\n"
-    smoke cores rows cols nets r_a r_b endpoint_net dirty_endpoint mid_net
-    dirty_mid reps (1e3 *. cold_t.t_min) (1e3 *. cold_t.t_med)
-    (1e3 *. cold_t.t_max) (1e3 *. eco_t.t_min) (1e3 *. eco_t.t_med)
+    \  \"speedup_gate_ok\": %b, \"visits_gate_ok\": %b, \"gate_ok\": %b, \
+     \"identities_ok\": %b }\n"
+    smoke cores rows cols nets r_a r_b endpoint_net dirty_endpoint fwd_endpoint
+    bwd_endpoint mid_net dirty_mid fwd_mid bwd_mid reps (1e3 *. cold_t.t_min)
+    (1e3 *. cold_t.t_med) (1e3 *. cold_t.t_max) (1e3 *. eco_t.t_min) (1e3 *. eco_t.t_med)
     (1e3 *. eco_t.t_max) (1e3 *. mid_t.t_min) (1e3 *. mid_t.t_med)
     (1e3 *. mid_t.t_max) speedup
     (cold_t.t_med /. mid_t.t_med)
-    totals.Sta.Session.total_fallbacks gate_ok !ok;
+    totals.Sta.Session.total_fallbacks speedup_ok visits_ok gate_ok !ok;
   close_out oc;
   note "wrote %s" json_path;
   if not (gate_ok && !ok) then begin

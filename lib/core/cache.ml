@@ -11,22 +11,18 @@ type 'a exact_entry = { e_sig : string; e_payload : 'a }
    one: corner analyses change element values, never topology, so the
    symbolic factorizations are corner-invariant — N per-corner caches
    pointing at one [patterns] store pay for each topology's symbolic
-   analysis exactly once across all corners.  The epoch counts
-   publications, so caches sharing the store can tell their memoized
-   footprint is stale without seeing each other. *)
+   analysis exactly once across all corners.  Each tier keeps its
+   footprint as a running count, so every sharer reads the store's. *)
 type patterns = {
   mutable p_symbolics : Sparse.Slu.symbolic list Smap.t;
       (* pattern hash -> analyses *)
-  mutable p_epoch : int;
+  mutable p_bytes : int;
 }
 
 type 'a t = {
   mutable exact : 'a exact_entry list Smap.t; (* exact hash -> entries *)
   pats : patterns; (* possibly shared with other caches *)
-  mutable bytes_memo : (int * int) option;
-      (* (pattern epoch, footprint): lazily computed, invalidated by
-         exact publication (dropped) or pattern publication through
-         any sharer (epoch mismatch) *)
+  mutable exact_bytes : int;
 }
 
 type 'a view = {
@@ -34,13 +30,13 @@ type 'a view = {
   v_symbolics : Sparse.Slu.symbolic list Smap.t;
 }
 
-let create_patterns () = { p_symbolics = Smap.empty; p_epoch = 0 }
+let create_patterns () = { p_symbolics = Smap.empty; p_bytes = 0 }
 
 let create ?patterns () =
   let pats =
     match patterns with Some p -> p | None -> create_patterns ()
   in
-  { exact = Smap.empty; pats; bytes_memo = None }
+  { exact = Smap.empty; pats; exact_bytes = 0 }
 
 let view t = { v_exact = t.exact; v_symbolics = t.pats.p_symbolics }
 
@@ -56,14 +52,17 @@ let find_exact v ~hash ~signature =
 let find_symbolic v ~hash =
   Option.value ~default:[] (Smap.find_opt hash v.v_symbolics)
 
+(* the heap words one stored value reaches, in bytes; entries are
+   immutable once published, so publication and removal count alike *)
+let footprint v = Obj.reachable_words (Obj.repr v) * (Sys.word_size / 8)
+
 let publish_exact t ~hash ~signature payload =
   let entries = Option.value ~default:[] (Smap.find_opt hash t.exact) in
   if List.exists (fun e -> String.equal e.e_sig signature) entries then false
   else begin
-    t.exact <-
-      Smap.add hash ({ e_sig = signature; e_payload = payload } :: entries)
-        t.exact;
-    t.bytes_memo <- None;
+    let e = { e_sig = signature; e_payload = payload } in
+    t.exact <- Smap.add hash (e :: entries) t.exact;
+    t.exact_bytes <- t.exact_bytes + footprint e;
     true
   end
 
@@ -73,31 +72,27 @@ let publish_symbolic t ~hash s =
   if List.exists (fun s' -> Sparse.Slu.same_analysis s' s) entries then false
   else begin
     p.p_symbolics <- Smap.add hash (s :: entries) p.p_symbolics;
-    p.p_epoch <- p.p_epoch + 1;
-    t.bytes_memo <- None;
+    p.p_bytes <- p.p_bytes + footprint s;
     true
   end
 
 (* Removal exists for incremental sessions: an edit that changes a
    net's exact key retires the old entry once no live net references
    it, keeping the key set equal to what a cold run of the edited
-   design would publish.  Both removers bump the pattern epoch /
-   drop the byte memo like publication does. *)
+   design would publish.  Both removers take the entries' footprint
+   back off the running count. *)
 let remove_exact t ~hash ~signature =
   match Smap.find_opt hash t.exact with
   | None -> false
-  | Some entries ->
-    let kept =
-      List.filter (fun e -> not (String.equal e.e_sig signature)) entries
-    in
-    if List.length kept = List.length entries then false
-    else begin
+  | Some entries -> (
+    match List.partition (fun e -> String.equal e.e_sig signature) entries with
+    | [], _ -> false
+    | removed, kept ->
       t.exact <-
         (if kept = [] then Smap.remove hash t.exact
          else Smap.add hash kept t.exact);
-      t.bytes_memo <- None;
-      true
-    end
+      List.iter (fun e -> t.exact_bytes <- t.exact_bytes - footprint e) removed;
+      true)
 
 let remove_symbolic t ~hash =
   let p = t.pats in
@@ -105,25 +100,10 @@ let remove_symbolic t ~hash =
   | None -> 0
   | Some entries ->
     p.p_symbolics <- Smap.remove hash p.p_symbolics;
-    p.p_epoch <- p.p_epoch + 1;
-    t.bytes_memo <- None;
+    List.iter (fun s -> p.p_bytes <- p.p_bytes - footprint s) entries;
     List.length entries
 
-(* The reachability sweep is linear in the cache size; memoizing it
-   turns repeated stats-time queries (one per [analyze]) into a single
-   sweep per publication epoch instead of one per call.  The memo
-   carries the pattern epoch so a publication through a cache sharing
-   the same pattern store invalidates it too. *)
-let bytes t =
-  match t.bytes_memo with
-  | Some (epoch, b) when epoch = t.pats.p_epoch -> b
-  | _ ->
-    let b =
-      Obj.reachable_words (Obj.repr (t.exact, t.pats.p_symbolics))
-      * (Sys.word_size / 8)
-    in
-    t.bytes_memo <- Some (t.pats.p_epoch, b);
-    b
+let bytes t = t.exact_bytes + t.pats.p_bytes
 
 let exact_keys t =
   Smap.fold

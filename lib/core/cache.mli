@@ -111,13 +111,15 @@ val remove_symbolic : 'a t -> hash:string -> int
     refcount hashes across exactly the nets served by the store. *)
 
 val bytes : 'a t -> int
-(** Approximate heap footprint of everything the cache retains, in
-    bytes (transitively reachable words).  Computed lazily: the
-    reachability sweep runs at most once per publication epoch —
-    repeated calls between publications return a memoized value, and
-    any publication invalidates it.  Structure shared across entries
-    is counted once (the sweep walks the object graph), so this is a
-    retention figure, not a sum of per-entry sizes. *)
+(** Heap footprint of the stored entries, in bytes: a running count,
+    O(1) to read.  Each publication adds the words reachable from the
+    entry it stores — an exact entry's guard signature and payload, or
+    one symbolic analysis — and each removal subtracts them again.
+    The tiers' map nodes, list cells and hash keys are not counted,
+    and structure two entries share is counted once per entry, so this
+    is a sum of per-entry sizes rather than a retention sweep.  The
+    pattern tier's share is the store's own, so caches sharing a
+    {!patterns} store all count it. *)
 
 val exact_keys : 'a t -> (string * string) list
 (** All (hash, signature) pairs in the exact tier, sorted — a

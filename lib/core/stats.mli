@@ -37,9 +37,10 @@ type snapshot = {
       (** structure-cache hits that reused a symbolic factorization *)
   cache_misses : int;  (** structure-cache lookups that found nothing *)
   cache_bytes : int;
-      (** approximate heap footprint of the structure cache, merged
-          once into an analysis's report by the timing engine (no
-          domain records it, so ambient snapshots read 0) *)
+      (** heap footprint of the structure cache's entries
+          ([Cache.bytes]), merged once into an analysis's report by
+          the timing engine (no domain records it, so ambient
+          snapshots read 0) *)
   reduce_nodes_eliminated : int;
       (** nodes removed by the pre-AWE [Circuit.Reduce] pass *)
   reduce_elements_eliminated : int;

@@ -404,7 +404,8 @@ let check_circuit (c : Circuit.Netlist.circuit) =
 (* ------------------------------------------------------------------ *)
 (* design-level checks (.sta)                                          *)
 
-let check_design_core (d : Sta.design) =
+let check_design_core ?dag (d : Sta.design) =
+  let dag = match dag with Some g -> g | None -> Sta.Dag.of_design d in
   let acc = ref [] in
   let emit x = acc := x :: !acc in
   let gates = Sta.gate_views d in
@@ -560,7 +561,6 @@ let check_design_core (d : Sta.design) =
      reported once.  The transfer is not a plain join — a gate readies
      its output only when ALL its inputs are ready — hence [fixpoint]
      with an explicit [get] rather than [solve] *)
-  let dag = Sta.Dag.of_design d in
   (* total on this design: the Dag universe covers every net a gate,
      PI/PO card or constraint mentions *)
   let idx n =
@@ -631,10 +631,11 @@ let check_sources (d : Sta.design) =
                    n (List.length sources) (String.concat ", " sources))))
 
 let check_design (d : Sta.design) =
-  check_design_core d
+  let dag = Sta.Dag.of_design d in
+  check_design_core ~dag d
   @ check_sources d
   @ Health.check_design d ~spread_limit
-  @ Coverage.check_design d
+  @ Coverage.check_design ~dag d
 
 (* ------------------------------------------------------------------ *)
 (* output normalization: the check passes report in traversal order

@@ -2,11 +2,16 @@
    Per net the engine keeps its arrival tuple, solved sink delays,
    required times and slack entries, plus the memo inputs the solve
    depended on (input slew, driver resistance, the cache keys it hit
-   or published).  One pass walks the wave schedule: it re-solves
-   exactly the nets whose solve inputs changed, re-adds arrivals
-   through the cone that actually moved (bitwise compare), and re-runs
-   the min-plus backward pass over the same frontier.  A cold
-   [analyze] is the pass in which every net is dirty; a session
+   or published).  One pass drains two worklists over the wave
+   schedule.  Forward, it visits the nets an edit touched and, wave by
+   wave, the sink-gate outputs of every net whose record changed
+   (bitwise compare): it re-solves the visited nets whose solve inputs
+   changed and re-adds arrivals for the rest.  Backward, it re-runs the
+   min-plus required-time step from the re-solved and
+   requirement-seeded nets, upstream only while a driver requirement
+   changed.  The slack order is kept sorted across passes: the rebuilt
+   nets' entries are sorted and merged into the rest.  A cold
+   [analyze] is the pass in which every net is seeded; a session
    re-time is the same pass after edits, so the two agree by
    construction.  Solves fan out per wave in contiguous chunks of the
    sorted wave, against cache views frozen at wave start, with
@@ -35,6 +40,8 @@ type totals = {
   total_dirty : int;
   total_reused : int;
   total_fallbacks : int;
+  total_forward_visits : int;
+  total_backward_visits : int;
 }
 
 (* What a net's last solve depended on (beyond upstream arrivals,
@@ -56,29 +63,37 @@ type t = {
   reduce : bool;
   jobs : int;
   mutable cache : cache option; (* [None]: uncached analysis *)
-  mutable waves : string list list; (* sorted within each wave *)
+  names : string list; (* every net, sorted: the report's [nets] order *)
+  mutable waves : string list array; (* sorted within each wave *)
+  wave_of : (string, int) Hashtbl.t;
   mutable schedule_valid : bool;
   memo : (string, memo) Hashtbl.t;
-  arrival : (string, float * float * float * string list) Hashtbl.t;
-      (* net -> driver-pin rise arrival, fall arrival, slew, path (nets,
-         newest first).  Fall arrivals ride along the rise-worst path:
-         input selection is by rise arrival, so both transitions
-         telescope along the same net sequence. *)
+  arrival : (string, float * float * float * string option) Hashtbl.t;
+      (* net -> driver-pin rise arrival, fall arrival, slew, worst input
+         net ([None] at a primary input).  Fall arrivals ride along the
+         rise-worst input: selection is by rise arrival, so both
+         transitions telescope along the same net sequence. *)
   timed : (string, net_timing) Hashtbl.t;
   sink_results : (string * string, sink_timing) Hashtbl.t;
       (* entries for sinks a topology edit removed linger; they are
          unreachable (all reads go through current gate inputs or
          current [timed] sinks) and carry no report state *)
   req_driver : (string, float * float) Hashtbl.t;
-  req_sink : (string * string, float * float) Hashtbl.t;
+  req_sinks : (string, (float * float) list) Hashtbl.t;
+      (* net -> the requirement at each sink pin, in the order of its
+         record's sinks *)
   endpoint_req : (string, float) Hashtbl.t;
   mutable endpoints_stale : bool;
-  slack_by_net : (string, pin_slack list) Hashtbl.t;
+  mutable slacks : pin_slack list; (* every pin slack, in [slack_order] *)
   (* cache-key refcounts over live nets: entries are retired at zero
      so the cache's key set always equals what a cold cached analyze
      of the current design would publish *)
   exact_refs : (string * string, int) Hashtbl.t;
   pattern_refs : (string, int) Hashtbl.t;
+  touched : (string, unit) Hashtbl.t;
+      (* nets an edit touched: their memo went stale, or their arrival
+         inputs (driver-gate inputs, intrinsic) changed; consumed as
+         the next forward pass's seeds *)
   req_seed : (string, unit) Hashtbl.t;
       (* nets whose required-time inputs changed without a re-solve
          (intrinsic edits, endpoint diffs); consumed by the next
@@ -95,7 +110,13 @@ type t = {
   mutable tot_dirty : int;
   mutable tot_reused : int;
   mutable tot_fallbacks : int;
+  mutable tot_forward : int;
+  mutable tot_backward : int;
 }
+
+(* What one pass did: nets re-solved, nets reused (scheduled minus
+   re-solved), and nets each worklist visited. *)
+type work = { w_dirty : int; w_reused : int; w_forward : int; w_backward : int }
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
@@ -105,6 +126,8 @@ let segments_of t net =
   | None -> fail "unknown net %s" net
 
 let distinct nets = List.sort_uniq compare nets
+
+module Waves = Map.Make (Int)
 
 let rec replace_first lst a b =
   match lst with
@@ -123,10 +146,9 @@ let rec replace_first lst a b =
    cycle, an undriven net — raise [Not_a_dag] before anything is
    solved. *)
 let compute_waves t =
-  let d = t.d in
-  let names = net_names d in
+  let d = t.d and names = t.names and wave_of = t.wave_of in
   let unretired : (string, int) Hashtbl.t = Hashtbl.create 256 in
-  let wave_of : (string, int) Hashtbl.t = Hashtbl.create 256 in
+  Hashtbl.reset wave_of;
   let queue = Queue.create () in
   List.iter
     (fun net ->
@@ -163,7 +185,7 @@ let compute_waves t =
       | None -> stuck := net :: !stuck)
     (List.rev names);
   if !stuck <> [] then raise (Not_a_dag !stuck);
-  t.waves <- Array.to_list waves;
+  t.waves <- waves;
   t.schedule_valid <- true
 
 (* --- forward-pass helpers ----------------------------------------- *)
@@ -172,10 +194,13 @@ let compute_waves t =
    gate's inputs: the worst input by rise arrival (strict [>] in input
    order, first wins) plus the gate's intrinsic delay; a primary input
    contributes its arrival card and slew.  The checks in [engine] leave
-   every other scheduled net exactly one driver. *)
+   every other scheduled net exactly one driver.  The tuple names its
+   worst input rather than carrying the path, so it depends only on
+   the driver gate and its inputs' records: a path change further
+   upstream leaves it alone. *)
 let compute_arrival t net =
   match primary_input t.d net with
-  | Some (arr, slew) -> (arr, arr, slew, [ net ])
+  | Some (arr, slew) -> (arr, arr, slew, None)
   | None ->
     let g = find_gate t.d (List.hd (net_drivers t.d net)) in
     let inst = g.inst in
@@ -187,15 +212,10 @@ let compute_arrival t net =
         (neg_infinity, "") g.inputs
     in
     let worst_sink = Hashtbl.find t.sink_results (worst_net, inst) in
-    let _, _, _, worst_path =
-      match Hashtbl.find_opt t.arrival worst_net with
-      | Some v -> v
-      | None -> (0., 0., 0., [])
-    in
     ( worst +. g.cell.intrinsic,
       worst_sink.arrival_fall +. g.cell.intrinsic,
       worst_sink.sink_slew,
-      net :: worst_path )
+      Some worst_net )
 
 let driver_res_of t net =
   match net_drivers t.d net with
@@ -225,9 +245,11 @@ let claim_keys t (keys : solve_keys) =
   | Some h -> incr_ref t.pattern_refs h
   | None -> ()
 
-(* Always called after [claim_keys] for the same net's new keys, so a
-   re-solve landing on its old key goes 1 -> 2 -> 1 and never retires
-   an entry that is still live.  Keys only exist when a cache does. *)
+(* Called only once every net solved in a wave has claimed its new
+   keys: a re-solve landing on its old key goes 1 -> 2 -> 1, and a key
+   one net leaves while a later net of the same wave hits it through
+   the wave's frozen view is claimed before it can reach zero.  Keys
+   only exist when a cache does. *)
 let retire_keys t (keys : solve_keys) =
   match t.cache with
   | None -> ()
@@ -247,7 +269,8 @@ let retire_keys t (keys : solve_keys) =
 
 (* The record step: absolute arrivals from the (already updated)
    arrival tuple plus the (possibly memoed) relative delays.  Returns
-   whether the published record changed. *)
+   whether the published record changed — the only way a downstream
+   arrival tuple can change, short of an edit. *)
 let rebuild_net t net timings =
   let ar, af, _, _ = Hashtbl.find t.arrival net in
   let sinks =
@@ -301,20 +324,73 @@ let rebuild_endpoints t =
   Hashtbl.reset t.endpoint_req;
   Hashtbl.iter (fun net v -> Hashtbl.replace t.endpoint_req net v) fresh
 
+(* --- slack order ---------------------------------------------------- *)
+
+(* The report's slack order, [compare (slack, net, pin)] without the
+   tuples; the key is unique per pin. *)
+let slack_order a b =
+  let c = Float.compare a.sp_slack b.sp_slack in
+  if c <> 0 then c
+  else
+    let c = String.compare a.sp_net b.sp_net in
+    if c <> 0 then c else Option.compare String.compare a.sp_pin b.sp_pin
+
+let merge_slacks a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | x :: a', y :: b' ->
+      if slack_order x y <= 0 then go (x :: acc) a' b else go (y :: acc) a b'
+  in
+  go [] a b
+
 (* --- the pass ------------------------------------------------------ *)
 
-(* One pass over the schedule; every net is dirty on the first pass.
-   A failing net raises when [strict]; otherwise it is reported in
-   [failures] and everything downstream of it stays untimed.  Returns
-   the report (its [stats] hold the merged solve windows and the
-   cache's footprint) and the numbers of nets re-solved and reused. *)
+(* One pass over the schedule: every net on the first pass, the
+   worklists' nets after that.  A failing net raises when [strict];
+   otherwise it is reported in [failures] and everything downstream of
+   it stays untimed.  Returns the report (its [stats] hold the merged
+   solve windows and the cache's footprint) and the pass's [work]. *)
 let pass ~strict t =
   let d = t.d in
   let full = t.last_report = None in
   if not t.schedule_valid then compute_waves t;
+  (* a worklist: per-wave buckets of queued nets (each net once), the
+     non-empty ones keyed by wave.  [drain] runs the bucket [next]
+     picks until none is left; a bucket's nets only ever queue nets
+     of waves still to come, so each bucket is complete when it runs.
+     The all-dirty pass walks the schedule instead. *)
+  let worklist ~next =
+    let buckets = ref Waves.empty and queued = Hashtbl.create 64 in
+    let add net =
+      if not (Hashtbl.mem queued net) then
+        match Hashtbl.find_opt t.wave_of net with
+        | Some w ->
+          Hashtbl.replace queued net ();
+          buckets :=
+            Waves.update w
+              (fun b -> Some (net :: Option.value b ~default:[]))
+              !buckets
+        | None -> () (* a constraint on a net outside the schedule *)
+    in
+    let rec drain run =
+      match next !buckets with
+      | None -> ()
+      | Some (w, nets) ->
+        buckets := Waves.remove w !buckets;
+        run nets;
+        drain run
+    in
+    (add, drain)
+  in
+  let schedule, drain_forward = worklist ~next:Waves.min_binding_opt in
+  if not full then Hashtbl.iter (fun net () -> schedule net) t.touched;
+  Hashtbl.reset t.touched;
   let solved : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let timing_changed : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let dirty = ref 0 and reused = ref 0 in
+  (* nets whose slack entries need a rebuild: record or requirements
+     changed *)
+  let slack_dirty : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let dirty = ref 0 and forward_visits = ref 0 in
   let windows = ref [] in
   (* non-strict only: the failed nets with their diagnostics (in solve
      order), and the nets left untimed downstream of them *)
@@ -327,15 +403,30 @@ let pass ~strict t =
     | [] -> false
     | inst :: _ -> List.exists (Hashtbl.mem untimed) (find_gate t.d inst).inputs
   in
-  (* forward: wave by wave, classify every net by pulling its arrival
-     tuple and memo inputs, batch-solve the dirty ones, and rebuild
-     the records of nets whose arrivals moved from the memo. *)
+  (* a changed record moves the arrival inputs of its sink gates'
+     outputs, which sit in later waves *)
+  let record net timings =
+    if rebuild_net t net timings then begin
+      Hashtbl.replace slack_dirty net ();
+      if not full then
+        List.iter (fun inst -> schedule (find_gate d inst).output) (net_sinks d net)
+    end
+  in
+  (* forward: wave by wave, classify each visited net (sorted) by
+     pulling its arrival tuple and memo inputs, batch-solve the dirty
+     ones, and rebuild the records of nets whose arrivals moved from
+     the memo. *)
   Parallel.with_pool ~jobs:t.jobs (fun pool ->
-      List.iter
+      let each_wave run =
+        if full then Array.iter run t.waves
+        else drain_forward (fun nets -> run (List.sort String.compare nets))
+      in
+      each_wave
         (fun wave ->
           let solves = ref [] and arith = ref [] in
           List.iter
             (fun net ->
+              incr forward_visits;
               if upstream_untimed net then begin
                 Hashtbl.replace untimed net ();
                 blocked := net :: !blocked
@@ -358,7 +449,7 @@ let pass ~strict t =
                 in
                 if need then solves := (net, slew, dres) :: !solves
                 else if changed then arith := net :: !arith
-                else incr reused (* untouched: last result stands as-is *)
+                (* else untouched: the last result stands as-is *)
               end)
             wave;
           let solves = Array.of_list (List.rev !solves) in
@@ -410,7 +501,9 @@ let pass ~strict t =
             (* record in chunk order, i.e. sorted net order: stats
                windows merge commutatively, and shards absorbed in
                chunk order replay publications in exactly the order a
-               sequential sweep makes them *)
+               sequential sweep makes them.  The old keys retire after
+               the whole wave has claimed (see [retire_keys]). *)
+            let stale_keys = ref [] in
             Array.iteri
               (fun ci ((outcomes, shard), window) ->
                 windows := window :: !windows;
@@ -430,7 +523,7 @@ let pass ~strict t =
                       Hashtbl.replace solved net ();
                       claim_keys t keys;
                       (match Hashtbl.find_opt t.memo net with
-                      | Some m -> retire_keys t m.m_keys
+                      | Some m -> stale_keys := m.m_keys :: !stale_keys
                       | None -> ());
                       Hashtbl.replace t.memo net
                         { m_valid = true;
@@ -438,19 +531,14 @@ let pass ~strict t =
                           m_driver_res = dres;
                           m_timings = timings;
                           m_keys = keys };
-                      if rebuild_net t net timings then
-                        Hashtbl.replace timing_changed net ())
+                      record net timings)
                   outcomes)
-              chunk_results
+              chunk_results;
+            List.iter (retire_keys t) !stale_keys
           end;
           List.iter
-            (fun net ->
-              incr reused;
-              let m = Hashtbl.find t.memo net in
-              if rebuild_net t net m.m_timings then
-                Hashtbl.replace timing_changed net ())
-            (List.rev !arith))
-        t.waves);
+            (fun net -> record net (Hashtbl.find t.memo net).m_timings)
+            (List.rev !arith)));
   if t.endpoints_stale then begin
     rebuild_endpoints t;
     t.endpoints_stale <- false
@@ -467,11 +555,17 @@ let pass ~strict t =
      propagate upstream only while a net's driver requirement actually
      changed (bitwise); skipped nets hold exactly the values a full
      pass would rewrite. *)
+  let reschedule, drain_backward = worklist ~next:Waves.max_binding_opt in
+  if not full then begin
+    Hashtbl.iter (fun net () -> reschedule net) solved;
+    Hashtbl.iter (fun net () -> reschedule net) t.req_seed
+  end;
+  Hashtbl.reset t.req_seed;
   let min2 (a, b) (c, e) = (Float.min a c, Float.min b e) in
   let inf2 = (infinity, infinity) in
-  let changed_req : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let slack_dirty : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let backward_visits = ref 0 in
   let visit net =
+    incr backward_visits;
     match Hashtbl.find_opt t.timed net with
     | None -> () (* failed / untimed: no requirements to propagate *)
     | Some nt ->
@@ -489,57 +583,43 @@ let pass ~strict t =
               | None -> inf2
               | Some (rr, rf) -> (rr -. g.cell.intrinsic, rf -. g.cell.intrinsic)
             in
-            let rq = min2 ep2 through in
-            (match Hashtbl.find_opt t.req_sink (net, st.sink_inst) with
-            | Some old when old = rq -> ()
-            | _ ->
-              Hashtbl.replace t.req_sink (net, st.sink_inst) rq;
-              Hashtbl.replace slack_dirty net ());
-            (st, rq))
+            min2 ep2 through)
           nt.sinks
       in
+      (match Hashtbl.find_opt t.req_sinks net with
+      | Some old when old = sink_reqs -> ()
+      | _ ->
+        Hashtbl.replace t.req_sinks net sink_reqs;
+        Hashtbl.replace slack_dirty net ());
       let dr =
-        match sink_reqs with
+        match nt.sinks with
         | [] -> ep2 (* sinkless leaf: the constraint binds the driver pin *)
-        | _ ->
-          List.fold_left
-            (fun acc (st, (rr, rf)) ->
+        | sinks ->
+          List.fold_left2
+            (fun acc st (rr, rf) ->
               min2 acc (rr -. st.net_delay, rf -. st.net_delay_fall))
-            inf2 sink_reqs
+            inf2 sinks sink_reqs
       in
       (match Hashtbl.find_opt t.req_driver net with
       | Some old when old = dr -> ()
       | _ ->
         Hashtbl.replace t.req_driver net dr;
-        Hashtbl.replace changed_req net ();
-        Hashtbl.replace slack_dirty net ())
+        Hashtbl.replace slack_dirty net ();
+        (* the driver gate's inputs see a new through-requirement *)
+        if not full then
+          match net_drivers d net with
+          | inst :: _ -> List.iter reschedule (find_gate d inst).inputs
+          | [] -> ())
   in
-  List.iter
-    (fun wave ->
-      List.iter
-        (fun net ->
-          let need =
-            full
-            || Hashtbl.mem solved net
-            || Hashtbl.mem t.req_seed net
-            ||
-            match Hashtbl.find_opt t.timed net with
-            | None -> false
-            | Some nt ->
-              List.exists
-                (fun st -> Hashtbl.mem changed_req (find_gate d st.sink_inst).output)
-                nt.sinks
-          in
-          if need then visit net)
-        wave)
-    (List.rev t.waves);
-  Hashtbl.reset t.req_seed;
-  (* per-pin slacks at the binding transition, rebuilt per dirty net;
-     the global sort key (slack, net, pin) is unique per pin, so
-     assembling from per-net buckets yields one sorted list *)
-  let rebuild_slack net =
+  if full then
+    for w = Array.length t.waves - 1 downto 0 do
+      List.iter visit t.waves.(w)
+    done
+  else drain_backward (List.iter visit);
+  (* per-pin slacks at the binding transition, per net *)
+  let slack_entries net =
     match Hashtbl.find_opt t.timed net with
-    | None -> Hashtbl.remove t.slack_by_net net
+    | None -> []
     | Some nt ->
       let entries = ref [] in
       let emit ~pin ~transition ~arrival ~required =
@@ -568,27 +648,29 @@ let pass ~strict t =
           binding ~pin:None ~ar:nt.driver_arrival ~af:nt.driver_arrival_fall rq
         | None -> ())
       | sinks ->
-        List.iter
-          (fun st ->
-            match Hashtbl.find_opt t.req_sink (net, st.sink_inst) with
-            | Some rq ->
-              binding ~pin:(Some st.sink_inst) ~ar:st.arrival
-                ~af:st.arrival_fall rq
-            | None -> ())
-          sinks);
-      if !entries = [] then Hashtbl.remove t.slack_by_net net
-      else Hashtbl.replace t.slack_by_net net !entries
+        List.iter2
+          (fun st rq ->
+            binding ~pin:(Some st.sink_inst) ~ar:st.arrival ~af:st.arrival_fall rq)
+          sinks (Hashtbl.find t.req_sinks net));
+      !entries
   in
-  if full then List.iter (fun w -> List.iter rebuild_slack w) t.waves
-  else begin
-    Hashtbl.iter (fun net () -> Hashtbl.replace slack_dirty net ()) timing_changed;
-    Hashtbl.iter (fun net () -> rebuild_slack net) slack_dirty
-  end;
+  (* the slack order: the rebuilt nets' entries are sorted on their own
+     and merged into the previous order with those nets' old entries
+     filtered out — one sort on the all-dirty pass, where every net is
+     rebuilt and there is no previous order *)
   let slacks =
-    Hashtbl.fold (fun _ entries acc -> List.rev_append entries acc) t.slack_by_net []
-    |> List.sort (fun a b ->
-           compare (a.sp_slack, a.sp_net, a.sp_pin) (b.sp_slack, b.sp_net, b.sp_pin))
+    if Hashtbl.length slack_dirty = 0 then t.slacks
+    else
+      let fresh =
+        Hashtbl.fold
+          (fun net () acc -> List.rev_append (slack_entries net) acc)
+          slack_dirty []
+        |> List.sort slack_order
+      in
+      merge_slacks fresh
+        (List.filter (fun s -> not (Hashtbl.mem slack_dirty s.sp_net)) t.slacks)
   in
+  t.slacks <- slacks;
   let worst_slack = match slacks with [] -> infinity | s :: _ -> s.sp_slack in
   (* critical arrival over primary outputs (or all nets if none are
      marked), strict [>] in candidate order *)
@@ -606,15 +688,17 @@ let pass ~strict t =
           if worst > acc then (worst, Some net) else (acc, accn))
       (neg_infinity, None) (critical_candidates d)
   in
-  let critical_path =
-    match critical_net with
-    | None -> []
-    | Some net -> (
-      match Hashtbl.find_opt t.arrival net with
-      | Some (_, _, _, path) -> List.rev path
-      | None -> [ net ])
+  (* the critical path: worst-input pointers walked back to a primary
+     input *)
+  let rec walk path net =
+    match Hashtbl.find_opt t.arrival net with
+    | Some (_, _, _, Some worst) -> walk (net :: path) worst
+    | _ -> net :: path
   in
-  let nets = List.filter_map (Hashtbl.find_opt t.timed) (net_names d) in
+  let critical_path =
+    match critical_net with None -> [] | Some net -> walk [] net
+  in
+  let nets = List.filter_map (Hashtbl.find_opt t.timed) t.names in
   let failures =
     List.rev_append !failures
       (List.map
@@ -623,8 +707,8 @@ let pass ~strict t =
          (List.sort compare !blocked))
   in
   let stats = List.fold_left Awe.Stats.merge Awe.Stats.zero (List.rev !windows) in
-  (* the cache's heap footprint, measured once so merged stats report
-     the final size, not a sum of samples *)
+  (* the cache's footprint, merged once so merged stats report the
+     final size, not a sum of samples *)
   let stats =
     match t.cache with
     | Some c ->
@@ -633,8 +717,10 @@ let pass ~strict t =
     | None -> stats
   in
   ( { nets; critical_arrival; critical_path; slacks; worst_slack; failures; stats },
-    !dirty,
-    !reused )
+    { w_dirty = !dirty;
+      w_reused = Hashtbl.length t.wave_of - !dirty - List.length failures;
+      w_forward = !forward_visits;
+      w_backward = !backward_visits } )
 
 (* Build the engine over a design: the up-front reference checks, in
    declaration order, against the design's connectivity index.  Nothing
@@ -666,19 +752,22 @@ let engine ~model ~sparse ~jobs ~reduce ~cache (d : design) =
     reduce;
     jobs;
     cache;
-    waves = [];
+    names = net_names d;
+    waves = [||];
+    wave_of = Hashtbl.create 256;
     schedule_valid = false;
     memo = Hashtbl.create 256;
     arrival = Hashtbl.create 256;
     timed = Hashtbl.create 256;
     sink_results = Hashtbl.create 256;
     req_driver = Hashtbl.create 256;
-    req_sink = Hashtbl.create 256;
+    req_sinks = Hashtbl.create 256;
     endpoint_req = Hashtbl.create 8;
     endpoints_stale = true;
-    slack_by_net = Hashtbl.create 64;
+    slacks = [];
     exact_refs = Hashtbl.create 256;
     pattern_refs = Hashtbl.create 64;
+    touched = Hashtbl.create 16;
     req_seed = Hashtbl.create 16;
     undo = [];
     undo_saved = [];
@@ -689,19 +778,22 @@ let engine ~model ~sparse ~jobs ~reduce ~cache (d : design) =
     tot_retimes = 0;
     tot_dirty = 0;
     tot_reused = 0;
-    tot_fallbacks = 0 }
+    tot_fallbacks = 0;
+    tot_forward = 0;
+    tot_backward = 0 }
 
 let analyze ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(strict = true)
     ?(reduce = true) ?cache d =
-  let report, _, _ = pass ~strict (engine ~model ~sparse ~jobs ~reduce ~cache d) in
-  report
+  fst (pass ~strict (engine ~model ~sparse ~jobs ~reduce ~cache d))
 
 (* --- edits --------------------------------------------------------- *)
 
+(* a net whose own content changed: re-solve it next pass *)
 let invalidate t net =
-  match Hashtbl.find_opt t.memo net with
+  (match Hashtbl.find_opt t.memo net with
   | Some m -> m.m_valid <- false
-  | None -> ()
+  | None -> ());
+  Hashtbl.replace t.touched net ()
 
 (* Validate-then-mutate; returns the inverse edit.  Raises [Malformed]
    without touching anything on a rejected edit: all validation reads
@@ -767,7 +859,9 @@ let rec apply_edit t edit =
             fail "net %s has no segment reaching sink %s" net inst)
       inputs;
     set_gate_inputs t.d ~inst ~inputs;
-    (* nets whose sink membership changed get a new stage circuit *)
+    (* the output's arrival inputs changed; nets whose sink membership
+       changed get a new stage circuit *)
+    Hashtbl.replace t.touched (find_gate t.d inst).output ();
     let removed = List.filter (fun n -> not (List.mem n inputs)) (distinct old) in
     let added = List.filter (fun n -> not (List.mem n old)) (distinct inputs) in
     List.iter (invalidate t) (removed @ added);
@@ -792,9 +886,10 @@ let rec apply_edit t edit =
     if not (Float.is_finite value && value >= 0.) then
       fail "gate %s: intrinsic delay must be non-negative" inst;
     set_gate_cell t.d ~inst ~cell:{ g.cell with intrinsic = value };
-    (* no re-solve: the intrinsic enters arrivals (pulled bitwise by
-       the forward sweep) and the backward through-requirement at the
-       gate's input nets, which must be re-visited *)
+    (* no re-solve: the intrinsic enters the output's arrival and the
+       backward through-requirement at the gate's input nets, which
+       must be re-visited *)
+    Hashtbl.replace t.touched g.output ();
     List.iter (fun n -> Hashtbl.replace t.req_seed n ()) (distinct g.inputs);
     Set_intrinsic { inst; value = g.cell.intrinsic }
   | Set_constraint { net; required } ->
@@ -829,13 +924,17 @@ let rec apply_edit t edit =
 (* A session re-time: one pass, plus the ECO counters — recorded only
    here, so a cold [analyze] reports none. *)
 let retime_now t =
-  let report, dirty, reused = pass ~strict:true t in
+  let report, { w_dirty = dirty; w_reused = reused; w_forward; w_backward } =
+    pass ~strict:true t
+  in
   let edits = t.pending in
   Awe.Stats.record_eco ~edits ~dirty_nets:dirty ~reused_nets:reused
     ~full_fallbacks:0;
   t.tot_retimes <- t.tot_retimes + 1;
   t.tot_dirty <- t.tot_dirty + dirty;
   t.tot_reused <- t.tot_reused + reused;
+  t.tot_forward <- t.tot_forward + w_forward;
+  t.tot_backward <- t.tot_backward + w_backward;
   let report =
     { report with
       stats =
@@ -854,11 +953,12 @@ let reset_analysis t =
   Hashtbl.reset t.timed;
   Hashtbl.reset t.sink_results;
   Hashtbl.reset t.req_driver;
-  Hashtbl.reset t.req_sink;
+  Hashtbl.reset t.req_sinks;
   Hashtbl.reset t.endpoint_req;
-  Hashtbl.reset t.slack_by_net;
+  t.slacks <- [];
   Hashtbl.reset t.exact_refs;
   Hashtbl.reset t.pattern_refs;
+  Hashtbl.reset t.touched;
   Hashtbl.reset t.req_seed;
   t.cache <- Some (create_cache ());
   t.schedule_valid <- false;
@@ -948,4 +1048,6 @@ let totals t =
     total_retimes = t.tot_retimes;
     total_dirty = t.tot_dirty;
     total_reused = t.tot_reused;
-    total_fallbacks = t.tot_fallbacks }
+    total_fallbacks = t.tot_fallbacks;
+    total_forward_visits = t.tot_forward;
+    total_backward_visits = t.tot_backward }

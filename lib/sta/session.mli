@@ -1,16 +1,32 @@
 (** The timing engine, and incremental ECO sessions on top of it.
 
-    The engine keeps, per net, its arrival tuple, solved sink delays,
-    required times and slack entries, plus the memo inputs its solve
-    depended on.  One pass walks the Kahn wave schedule: it re-solves
-    exactly the nets whose own content changed (wire values or
-    topology, sink pin caps, driver strength) or whose input slew
-    changed bitwise; everything else is served from the per-net memo,
-    and arrival changes propagate forward only while a net's timing
-    tuple actually changed (bitwise).  The min-plus required-time/slack
-    pass back-propagates over the same frontier.  A cold analysis
-    ({!analyze}, i.e. [Sta.analyze]) is the pass in which every net is
-    dirty.
+    The engine keeps, per net, its arrival tuple (arrivals, slew and
+    the worst input net), solved sink delays, required times and slack
+    entries, plus the memo inputs its solve depended on.  One pass
+    drains two worklists over the Kahn wave schedule, so a re-time
+    costs the nets an edit reaches, not the design:
+
+    - {e Forward}, per wave in sorted net order.  An edit seeds the
+      nets it touched: the net of a wire, sink-membership, pin-cap or
+      drive edit (its memo goes stale), and the output net of a gate
+      whose intrinsic or inputs changed.  A visited net pulls its
+      arrival tuple; it is re-solved when its own content changed or
+      its input slew changed bitwise, and otherwise re-timed from the
+      per-net memo.  When its published record changes (bitwise), the
+      outputs of its sink gates join their (later) waves.
+    - {e Backward}, in reverse wave order.  The re-solved nets and
+      the nets whose required-time inputs changed (intrinsic edits,
+      endpoint diffs) are visited; when a net's driver requirement
+      changes (bitwise), the inputs of its driver gate join their
+      (earlier) waves.
+    - The sorted slack list is kept: the rebuilt nets' entries are
+      sorted and merged into the rest.
+
+    A cold analysis ({!analyze}, i.e. [Sta.analyze]) is the pass in
+    which every net is seeded.  An edit's backward cone can still be
+    the whole fan-in — a requirement change at a net on the binding
+    path of every upstream net moves them all — and then the pass
+    visits every net backward.
 
     The engine keeps no copy of the design's connectivity: its checks,
     schedule and passes read the design's own index
@@ -32,9 +48,9 @@
     session cache's {!Timing.cache_fingerprint} is kept equal to what a
     cold cached analyze of the {e current} design would publish, by
     refcounting each live net's cache keys and retiring entries at
-    refcount zero — so edit-then-revert restores the original
-    fingerprint exactly.  See THEORY.md, "Incremental timing and dirty
-    cones".
+    refcount zero, once every net a wave re-solved has claimed its new
+    keys — so edit-then-revert restores the original fingerprint
+    exactly.  See THEORY.md, "Incremental timing and dirty cones".
 
     Sessions are strict: a failing net rolls the session back to the
     last successfully-timed state (a {e full fallback}: the design
@@ -71,9 +87,16 @@ type totals = {
   total_retimes : int;  (** successful re-times, initial load included *)
   total_dirty : int;  (** nets re-solved across all re-times *)
   total_reused : int;
-      (** nets whose solve was reused: untouched, or re-timed from the
-          memo by arrival arithmetic alone *)
+      (** nets whose solve was reused: per re-time, the scheduled nets
+          minus the re-solved ones, whether the forward worklist
+          visited them or not *)
   total_fallbacks : int;  (** full fallbacks taken *)
+  total_forward_visits : int;
+      (** nets the forward worklist visited (classified) across all
+          re-times; every net on an all-dirty pass *)
+  total_backward_visits : int;
+      (** nets the backward worklist visited (required-time step)
+          across all re-times; every net on an all-dirty pass *)
 }
 
 type t
@@ -148,4 +171,8 @@ val cache : t -> Timing.cache
     publishes. *)
 
 val totals : t -> totals
-(** Cumulative ECO tallies since load. *)
+(** Cumulative ECO tallies since load.  Per re-time, [total_dirty] and
+    [total_reused] add up to the scheduled nets, and the report's
+    [stats] carry the same two counts as [eco_dirty_nets] and
+    [eco_reused_nets]; the visit totals count the work each worklist
+    did, and are what an O(cone) re-time keeps small. *)

@@ -1707,17 +1707,14 @@ let check_reports_match name (inc : Sta.report) (cold : Sta.report) =
   Alcotest.(check bool) (name ^ ": no failures") true
     (inc.Sta.failures = [] && cold.Sta.failures = [])
 
-let check_session_cold ?(sparse = false) name s =
+let check_session_cold ?(sparse = false) ?(reduce = false) name s =
   let d = Sta.Session.design s in
   let cache = Sta.create_cache () in
-  let cold =
-    Sta.analyze ~model:Sta.Awe_auto ~sparse ~reduce:false ~jobs:1 ~cache d
-  in
+  let cold = Sta.analyze ~model:Sta.Awe_auto ~sparse ~reduce ~jobs:1 ~cache d in
   (match Sta.Session.retime s with
   | Ok r ->
     check_reports_match name r cold;
-    check_reports_match (name ^ " vs reference") r
-      (reference ~sparse ~reduce:false d)
+    check_reports_match (name ^ " vs reference") r (reference ~sparse ~reduce d)
   | Error msg -> Alcotest.failf "%s: retime failed: %s" name msg);
   Alcotest.(check bool) (name ^ ": cache fingerprints equal") true
     (Sta.cache_fingerprint (Sta.Session.cache s) = Sta.cache_fingerprint cache)
@@ -1920,59 +1917,71 @@ let test_session_apply_validation () =
   | Ok r -> check_reports_match "rejected edits mutate nothing" r r0
   | Error m -> Alcotest.failf "retime: %s" m
 
-(* random edit stream over the shared random layered DAGs.  Topology
-   edits only rewire a gate among the nets whose wire already reaches
-   it (in [random_design], its original inputs, all declared before
-   it), so every edit applies and no cycle can form; they exercise
-   sinks leaving and rejoining nets, pin order, and a gate on one net
-   twice. *)
+(* Random edits of all twelve kinds.  Topology edits only rewire a
+   gate among the nets whose wire already reaches it — on
+   [random_design] and the synthetic generators, its original inputs,
+   all upstream of it — so every edit applies and no cycle can form;
+   they exercise sinks leaving and rejoining nets, pin order, and a
+   gate on one net twice.  A reroute re-anchors a segment at the
+   driver node, which keeps every node attached. *)
 let random_edit st d =
   let pick l = List.nth l (Random.State.int st (List.length l)) in
   let nets = Sta.net_names d in
-  let seg_edit mk =
-    let net = pick nets in
-    let segs = Option.get (Sta.net_segments d net) in
-    mk net (Random.State.int st (List.length segs))
-  in
+  let segs net = Option.get (Sta.net_segments d net) in
   let gate () =
     let inst, _, _, _ = pick (Sta.gate_details d) in
     inst
   in
   let reaching inst =
-    List.filter
-      (fun n ->
-        List.exists
-          (fun s -> s.Sta.seg_to = inst)
-          (Option.get (Sta.net_segments d n)))
-      nets
+    List.filter (fun n -> List.exists (fun s -> s.Sta.seg_to = inst) (segs n)) nets
   in
-  match Random.State.int st 10 with
-  | 8 ->
+  let value lo span = lo +. Random.State.float st span in
+  let resistance () =
+    let net = pick nets in
+    Sta.Session.Set_resistance
+      { net; index = Random.State.int st (List.length (segs net)); value = value 20. 800. }
+  in
+  let set_constraint () =
+    Sta.Session.Set_constraint { net = pick nets; required = value 0. 3e-9 }
+  in
+  let set_clock () = Sta.Session.Set_clock { period = value 1e-9 4e-9 } in
+  match Random.State.int st 12 with
+  | 0 -> resistance ()
+  | 1 ->
+    let net = pick nets in
+    Sta.Session.Set_capacitance
+      { net; index = Random.State.int st (List.length (segs net)); value = value 0. 80e-15 }
+  | 2 -> (
+    let movable =
+      List.concat_map
+        (fun net ->
+          List.filteri (fun _ (_, s) -> s.Sta.seg_from <> "drv")
+            (List.mapi (fun i s -> ((net, i), s)) (segs net)))
+        nets
+    in
+    match movable with
+    | [] -> resistance ()
+    | _ ->
+      let (net, index), s = pick movable in
+      Sta.Session.Reroute { net; index; seg_from = "drv"; seg_to = s.Sta.seg_to })
+  | 3 ->
     let inst, _, inputs, _ = pick (Sta.gate_details d) in
-    Sta.Session.Swap_sink
-      { inst; from_net = pick inputs; to_net = pick (reaching inst) }
-  | 9 ->
+    Sta.Session.Swap_sink { inst; from_net = pick inputs; to_net = pick (reaching inst) }
+  | 4 ->
     let inst = gate () in
     let nets = reaching inst in
     Sta.Session.Set_inputs
       { inst; inputs = List.init (1 + Random.State.int st 3) (fun _ -> pick nets) }
-  | 0 | 1 ->
-    seg_edit (fun net index ->
-        Sta.Session.Set_resistance
-          { net; index; value = 20. +. Random.State.float st 800. })
-  | 2 | 3 ->
-    seg_edit (fun net index ->
-        Sta.Session.Set_capacitance
-          { net; index; value = Random.State.float st 80e-15 })
-  | 4 -> Sta.Session.Set_drive { inst = gate (); value = 100. +. Random.State.float st 900. }
-  | 5 -> Sta.Session.Set_pin_cap { inst = gate (); value = Random.State.float st 60e-15 }
-  | 6 -> Sta.Session.Set_intrinsic { inst = gate (); value = Random.State.float st 120e-12 }
-  | _ ->
-    if Random.State.bool st then
-      Sta.Session.Set_clock { period = 1e-9 +. Random.State.float st 4e-9 }
-    else
-      Sta.Session.Set_constraint
-        { net = pick nets; required = Random.State.float st 3e-9 }
+  | 5 -> Sta.Session.Set_drive { inst = gate (); value = value 100. 900. }
+  | 6 -> Sta.Session.Set_pin_cap { inst = gate (); value = value 0. 60e-15 }
+  | 7 -> Sta.Session.Set_intrinsic { inst = gate (); value = value 0. 120e-12 }
+  | 8 -> set_constraint ()
+  | 9 -> (
+    match Sta.constraints d with
+    | [] -> set_constraint ()
+    | cs -> Sta.Session.Remove_constraint { net = fst (pick cs) })
+  | 10 -> set_clock ()
+  | _ -> if Sta.clock_period d = None then set_clock () else Sta.Session.Remove_clock
 
 let test_session_metamorphic () =
   List.iter
@@ -2031,6 +2040,53 @@ let test_session_revert_all_metamorphic () =
       true
       (Sta.cache_fingerprint (Sta.Session.cache s) = fp0)
   done
+
+(* A key one net leaves while a later net of the same wave hits it
+   through the wave's frozen view: on this grid, one wave re-solves
+   w1_8 off an exact key that w8_1 then hits.  Retiring w1_8's old key
+   before w8_1 claimed it dropped an entry a cold analyze keeps. *)
+let test_session_retire_after_wave () =
+  let d = Sta.Synth.grid ~rows:9 ~cols:9 () in
+  Sta.set_clock d ~period:2e-9;
+  let s = Sta.Session.create d in
+  ap s (Sta.Session.Set_drive { inst = "g7_0"; value = 133.677 });
+  ap s (Sta.Session.Set_intrinsic { inst = "g0_6"; value = 4.5657e-11 });
+  check_session_cold ~reduce:true "claims before the wave retires" s
+
+(* The session wall on the four generators, each with a clock: seeded
+   streams of every edit kind, with a revert now and then, compared
+   after every re-time against a cold analyze, the reference timer and
+   the cold cache's fingerprint.  Both grid streams drop a cache key a
+   cold analyze keeps if a wave retires keys before it has claimed
+   them all (rounds 5 and 4). *)
+let test_session_synth_streams () =
+  let designs =
+    [ ("grid", fun () -> Sta.Synth.grid ~rows:9 ~cols:9 ());
+      ("buffered_mesh", fun () -> Sta.Synth.buffered_mesh ~seed:3 ~rows:8 ~cols:8 ());
+      ("rc_ladder", fun () -> Sta.Synth.rc_ladder ~stages:20 ~length:4 ~fanout:2 ());
+      ("clock_tree", fun () -> Sta.Synth.clock_tree ~levels:4 ~fanout:2 ()) ]
+  in
+  List.iter
+    (fun (name, mk) ->
+      for seed = 0 to 1 do
+        let st = Random.State.make [| 0x5E55; seed |] in
+        let d = mk () in
+        Sta.set_clock d ~period:2e-9;
+        let s = Sta.Session.create ~jobs:test_jobs d in
+        for round = 0 to 11 do
+          for _ = 0 to Random.State.int st 2 do
+            ap s (random_edit st d)
+          done;
+          if round mod 7 = 6 then ignore (Sta.Session.revert s);
+          check_session_cold ~reduce:true
+            (Printf.sprintf "%s seed %d round %d" name seed round)
+            s
+        done;
+        Alcotest.(check int)
+          (Printf.sprintf "%s seed %d: no fallbacks" name seed)
+          0 (Sta.Session.totals s).Sta.Session.total_fallbacks
+      done)
+    designs
 
 (* ----- Serve: the line protocol over a session --------------------- *)
 
@@ -2219,7 +2275,11 @@ let () =
           Alcotest.test_case "metamorphic edit streams" `Slow
             test_session_metamorphic;
           Alcotest.test_case "edit/revert-all fingerprint identity" `Quick
-            test_session_revert_all_metamorphic ] );
+            test_session_revert_all_metamorphic;
+          Alcotest.test_case "keys retire after the wave claims" `Quick
+            test_session_retire_after_wave;
+          Alcotest.test_case "edit streams on synthetic designs" `Slow
+            test_session_synth_streams ] );
       ( "serve",
         [ Alcotest.test_case "protocol round-trip" `Quick test_serve_protocol;
           Alcotest.test_case "protocol drives the same session" `Quick
