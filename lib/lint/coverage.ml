@@ -40,10 +40,9 @@ module Min_req = struct
   let equal (a : t) b = a = b
 end
 
-let check_design ?dag (d : Sta.design) =
+let check_design (dag : Sta.Dag.t) (d : Sta.design) =
   let acc = ref [] in
   let emit x = acc := x :: !acc in
-  let dag = match dag with Some g -> g | None -> Sta.Dag.of_design d in
   let n = Array.length dag.Sta.Dag.nets in
   let g =
     { Dataflow.nodes = n;

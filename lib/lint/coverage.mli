@@ -17,7 +17,6 @@
     Safe on cyclic designs: the fixpoints converge regardless, so
     coverage can be reported alongside the cycle diagnostic. *)
 
-val check_design : ?dag:Sta.Dag.t -> Sta.design -> Diagnostic.t list
-(** [dag] (default: built from the design) must be [Sta.Dag.of_design]
-    of this design; {!Lint.check_design} passes the one it built for
-    its cycle check. *)
+val check_design : Sta.Dag.t -> Sta.design -> Diagnostic.t list
+(** [check_design dag d] takes [dag = Sta.Dag.of_design d], the one
+    {!Lint.check_design} built for its cycle check. *)

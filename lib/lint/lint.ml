@@ -404,8 +404,9 @@ let check_circuit (c : Circuit.Netlist.circuit) =
 (* ------------------------------------------------------------------ *)
 (* design-level checks (.sta)                                          *)
 
-let check_design_core ?dag (d : Sta.design) =
-  let dag = match dag with Some g -> g | None -> Sta.Dag.of_design d in
+(* [dag] is [Sta.Dag.of_design d]: [check_design] builds it once for
+   this pass and the coverage pass *)
+let check_design_core_with dag (d : Sta.design) =
   let acc = ref [] in
   let emit x = acc := x :: !acc in
   let gates = Sta.gate_views d in
@@ -630,12 +631,14 @@ let check_sources (d : Sta.design) =
                     uses would depend on declaration order"
                    n (List.length sources) (String.concat ", " sources))))
 
+let check_design_core d = check_design_core_with (Sta.Dag.of_design d) d
+
 let check_design (d : Sta.design) =
   let dag = Sta.Dag.of_design d in
-  check_design_core ~dag d
+  check_design_core_with dag d
   @ check_sources d
   @ Health.check_design d ~spread_limit
-  @ Coverage.check_design ~dag d
+  @ Coverage.check_design dag d
 
 (* ------------------------------------------------------------------ *)
 (* output normalization: the check passes report in traversal order

@@ -61,12 +61,11 @@ val check_circuit : Circuit.Netlist.circuit -> Diagnostic.t list
 (** {!check_circuit_core} followed by the {!Health} (AWE-W2xx) and
     {!Reduce_advice} (AWE-I2xx) advisory passes. *)
 
-val check_design_core : ?dag:Sta.Dag.t -> Sta.design -> Diagnostic.t list
+val check_design_core : Sta.design -> Diagnostic.t list
 (** The pre-Lint-2.0 design check set for [.sta] timing designs:
     unknown nets, undriven nets, sinks with no attachment segment,
     sinks not connected to the driver pin, dead constraint targets,
-    and combinational cycles.  [dag] (default: built from the design)
-    must be [Sta.Dag.of_design] of this design. *)
+    and combinational cycles. *)
 
 val check_design : Sta.design -> Diagnostic.t list
 (** {!check_design_core}, then AWE-E107 (a net with more than one

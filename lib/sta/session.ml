@@ -127,8 +127,6 @@ let segments_of t net =
 
 let distinct nets = List.sort_uniq compare nets
 
-module Waves = Map.Make (Int)
-
 let rec replace_first lst a b =
   match lst with
   | [] -> []
@@ -353,40 +351,31 @@ let merge_slacks a b =
    solve windows and the cache's footprint) and the pass's [work]. *)
 let pass ~strict t =
   let d = t.d in
-  let full = t.last_report = None in
   if not t.schedule_valid then compute_waves t;
-  (* a worklist: per-wave buckets of queued nets (each net once), the
-     non-empty ones keyed by wave.  [drain] runs the bucket [next]
-     picks until none is left; a bucket's nets only ever queue nets
-     of waves still to come, so each bucket is complete when it runs.
-     The all-dirty pass walks the schedule instead. *)
-  let worklist ~next =
-    let buckets = ref Waves.empty and queued = Hashtbl.create 64 in
+  (* a worklist: one bucket per wave, each net queued once.  The
+     all-dirty pass starts with every bucket holding its whole wave, so
+     nothing more can join; later passes start empty and [add] queues a
+     net in its wave's bucket.  A bucket's nets only ever queue nets of
+     waves still to come, so each bucket is complete when it runs. *)
+  let full = t.last_report = None in
+  let worklist () =
+    let buckets =
+      if full then Array.copy t.waves else Array.make (Array.length t.waves) []
+    in
+    let queued = Hashtbl.create 64 in
     let add net =
-      if not (Hashtbl.mem queued net) then
+      if not (full || Hashtbl.mem queued net) then
         match Hashtbl.find_opt t.wave_of net with
         | Some w ->
           Hashtbl.replace queued net ();
-          buckets :=
-            Waves.update w
-              (fun b -> Some (net :: Option.value b ~default:[]))
-              !buckets
+          buckets.(w) <- net :: buckets.(w)
         | None -> () (* a constraint on a net outside the schedule *)
     in
-    let rec drain run =
-      match next !buckets with
-      | None -> ()
-      | Some (w, nets) ->
-        buckets := Waves.remove w !buckets;
-        run nets;
-        drain run
-    in
-    (add, drain)
+    (buckets, add)
   in
-  let schedule, drain_forward = worklist ~next:Waves.min_binding_opt in
-  if not full then Hashtbl.iter (fun net () -> schedule net) t.touched;
+  let forward, schedule = worklist () and backward, reschedule = worklist () in
+  Hashtbl.iter (fun net () -> schedule net) t.touched;
   Hashtbl.reset t.touched;
-  let solved : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   (* nets whose slack entries need a rebuild: record or requirements
      changed *)
   let slack_dirty : (string, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -408,137 +397,133 @@ let pass ~strict t =
   let record net timings =
     if rebuild_net t net timings then begin
       Hashtbl.replace slack_dirty net ();
-      if not full then
-        List.iter (fun inst -> schedule (find_gate d inst).output) (net_sinks d net)
+      List.iter (fun inst -> schedule (find_gate d inst).output) (net_sinks d net)
     end
   in
   (* forward: wave by wave, classify each visited net (sorted) by
      pulling its arrival tuple and memo inputs, batch-solve the dirty
      ones, and rebuild the records of nets whose arrivals moved from
-     the memo. *)
+     the memo.  A re-solved net seeds the backward worklist. *)
   Parallel.with_pool ~jobs:t.jobs (fun pool ->
-      let each_wave run =
-        if full then Array.iter run t.waves
-        else drain_forward (fun nets -> run (List.sort String.compare nets))
-      in
-      each_wave
-        (fun wave ->
-          let solves = ref [] and arith = ref [] in
-          List.iter
-            (fun net ->
-              incr forward_visits;
-              if upstream_untimed net then begin
-                Hashtbl.replace untimed net ();
-                blocked := net :: !blocked
-              end
-              else begin
-                let tuple = compute_arrival t net in
-                let changed =
-                  match Hashtbl.find_opt t.arrival net with
-                  | Some old -> old <> tuple
-                  | None -> true
-                in
-                if changed then Hashtbl.replace t.arrival net tuple;
-                let _, _, slew, _ = tuple in
-                let dres = driver_res_of t net in
-                let need =
-                  match Hashtbl.find_opt t.memo net with
-                  | None -> true
-                  | Some m ->
-                    (not m.m_valid) || m.m_slew <> slew || m.m_driver_res <> dres
-                in
-                if need then solves := (net, slew, dres) :: !solves
-                else if changed then arith := net :: !arith
-                (* else untouched: the last result stands as-is *)
-              end)
-            wave;
-          let solves = Array.of_list (List.rev !solves) in
-          let n = Array.length solves in
-          if n > 0 then begin
-            (* Freeze the cache view once per wave: every task sees
-               exactly the entries published by earlier waves.  The
-               sorted solve list splits into contiguous chunks, one per
-               pool slot, so dispatch, stats-window and shard overhead
-               amortize over many solves. *)
-            let view = Option.map cache_view t.cache in
-            let nchunks =
-              let j = Parallel.jobs pool in
-              if j <= 1 then 1 else Stdlib.min n j
-            in
-            let bounds = Array.init (nchunks + 1) (fun i -> i * n / nchunks) in
-            (* per-chunk failure label, updated as the chunk advances so
-               an unexpected exception is attributed to the exact net it
-               escaped from *)
-            let labels =
-              Array.init nchunks (fun ci ->
-                  let net, _, _ = solves.(bounds.(ci)) in
-                  "net " ^ net)
-            in
-            let chunk_results =
-              Parallel.mapi
-                ~label:(fun ci -> labels.(ci))
-                pool
-                (fun ci () ->
-                  let lo = bounds.(ci) and hi = bounds.(ci + 1) in
-                  let shard = Option.map (fun _ -> cache_shard ()) view in
-                  Awe.Stats.scoped (fun () ->
-                      let outcomes = Array.make (hi - lo) (Error "") in
-                      for k = 0 to hi - lo - 1 do
-                        let net, slew, dres = solves.(lo + k) in
-                        labels.(ci) <- "net " ^ net;
-                        outcomes.(k) <-
-                          (match
-                             solve_net d ~model:t.model ~sparse:t.sparse
-                               ~reduce:t.reduce ~view ~shard ~net
-                               ~driver_res:dres ~slew
-                           with
-                          | r -> Ok r
-                          | exception Malformed msg -> Error msg)
-                      done;
-                      (outcomes, shard)))
-                (Array.make nchunks ())
-            in
-            (* record in chunk order, i.e. sorted net order: stats
-               windows merge commutatively, and shards absorbed in
-               chunk order replay publications in exactly the order a
-               sequential sweep makes them.  The old keys retire after
-               the whole wave has claimed (see [retire_keys]). *)
-            let stale_keys = ref [] in
-            Array.iteri
-              (fun ci ((outcomes, shard), window) ->
-                windows := window :: !windows;
-                (match (t.cache, shard) with
-                | Some c, Some sh -> cache_absorb c sh
-                | _ -> ());
-                Array.iteri
-                  (fun k outcome ->
-                    let net, slew, dres = solves.(bounds.(ci) + k) in
-                    match outcome with
-                    | Error msg ->
-                      if strict then raise (Malformed msg);
-                      Hashtbl.replace untimed net ();
-                      failures := { failed_net = net; reason = msg } :: !failures
-                    | Ok (timings, keys) ->
-                      incr dirty;
-                      Hashtbl.replace solved net ();
-                      claim_keys t keys;
-                      (match Hashtbl.find_opt t.memo net with
-                      | Some m -> stale_keys := m.m_keys :: !stale_keys
-                      | None -> ());
-                      Hashtbl.replace t.memo net
-                        { m_valid = true;
-                          m_slew = slew;
-                          m_driver_res = dres;
-                          m_timings = timings;
-                          m_keys = keys };
-                      record net timings)
-                  outcomes)
-              chunk_results;
-            List.iter (retire_keys t) !stale_keys
-          end;
-          List.iter
-            (fun net -> record net (Hashtbl.find t.memo net).m_timings)
-            (List.rev !arith)));
+      for w = 0 to Array.length forward - 1 do
+        let wave = List.sort String.compare forward.(w) in
+        let solves = ref [] and arith = ref [] in
+        List.iter
+          (fun net ->
+            incr forward_visits;
+            if upstream_untimed net then begin
+              Hashtbl.replace untimed net ();
+              blocked := net :: !blocked
+            end
+            else begin
+              let tuple = compute_arrival t net in
+              let changed =
+                match Hashtbl.find_opt t.arrival net with
+                | Some old -> old <> tuple
+                | None -> true
+              in
+              if changed then Hashtbl.replace t.arrival net tuple;
+              let _, _, slew, _ = tuple in
+              let dres = driver_res_of t net in
+              let need =
+                match Hashtbl.find_opt t.memo net with
+                | None -> true
+                | Some m ->
+                  (not m.m_valid) || m.m_slew <> slew || m.m_driver_res <> dres
+              in
+              if need then solves := (net, slew, dres) :: !solves
+              else if changed then arith := net :: !arith
+              (* else untouched: the last result stands as-is *)
+            end)
+          wave;
+        let solves = Array.of_list (List.rev !solves) in
+        let n = Array.length solves in
+        if n > 0 then begin
+          (* Freeze the cache view once per wave: every task sees
+             exactly the entries published by earlier waves.  The
+             sorted solve list splits into contiguous chunks, one per
+             pool slot, so dispatch, stats-window and shard overhead
+             amortize over many solves. *)
+          let view = Option.map cache_view t.cache in
+          let nchunks =
+            let j = Parallel.jobs pool in
+            if j <= 1 then 1 else Stdlib.min n j
+          in
+          let bounds = Array.init (nchunks + 1) (fun i -> i * n / nchunks) in
+          (* per-chunk failure label, updated as the chunk advances so
+             an unexpected exception is attributed to the exact net it
+             escaped from *)
+          let labels =
+            Array.init nchunks (fun ci ->
+                let net, _, _ = solves.(bounds.(ci)) in
+                "net " ^ net)
+          in
+          let chunk_results =
+            Parallel.mapi
+              ~label:(fun ci -> labels.(ci))
+              pool
+              (fun ci () ->
+                let lo = bounds.(ci) and hi = bounds.(ci + 1) in
+                let shard = Option.map (fun _ -> cache_shard ()) view in
+                Awe.Stats.scoped (fun () ->
+                    let outcomes = Array.make (hi - lo) (Error "") in
+                    for k = 0 to hi - lo - 1 do
+                      let net, slew, dres = solves.(lo + k) in
+                      labels.(ci) <- "net " ^ net;
+                      outcomes.(k) <-
+                        (match
+                           solve_net d ~model:t.model ~sparse:t.sparse
+                             ~reduce:t.reduce ~view ~shard ~net
+                             ~driver_res:dres ~slew
+                         with
+                        | r -> Ok r
+                        | exception Malformed msg -> Error msg)
+                    done;
+                    (outcomes, shard)))
+              (Array.make nchunks ())
+          in
+          (* record in chunk order, i.e. sorted net order: stats
+             windows merge commutatively, and shards absorbed in
+             chunk order replay publications in exactly the order a
+             sequential sweep makes them.  The old keys retire after
+             the whole wave has claimed (see [retire_keys]). *)
+          let stale_keys = ref [] in
+          Array.iteri
+            (fun ci ((outcomes, shard), window) ->
+              windows := window :: !windows;
+              (match (t.cache, shard) with
+              | Some c, Some sh -> cache_absorb c sh
+              | _ -> ());
+              Array.iteri
+                (fun k outcome ->
+                  let net, slew, dres = solves.(bounds.(ci) + k) in
+                  match outcome with
+                  | Error msg ->
+                    if strict then raise (Malformed msg);
+                    Hashtbl.replace untimed net ();
+                    failures := { failed_net = net; reason = msg } :: !failures
+                  | Ok (timings, keys) ->
+                    incr dirty;
+                    reschedule net;
+                    claim_keys t keys;
+                    (match Hashtbl.find_opt t.memo net with
+                    | Some m -> stale_keys := m.m_keys :: !stale_keys
+                    | None -> ());
+                    Hashtbl.replace t.memo net
+                      { m_valid = true;
+                        m_slew = slew;
+                        m_driver_res = dres;
+                        m_timings = timings;
+                        m_keys = keys };
+                    record net timings)
+                outcomes)
+            chunk_results;
+          List.iter (retire_keys t) !stale_keys
+        end;
+        List.iter
+          (fun net -> record net (Hashtbl.find t.memo net).m_timings)
+          (List.rev !arith)
+      done);
   if t.endpoints_stale then begin
     rebuild_endpoints t;
     t.endpoints_stale <- false
@@ -555,11 +540,7 @@ let pass ~strict t =
      propagate upstream only while a net's driver requirement actually
      changed (bitwise); skipped nets hold exactly the values a full
      pass would rewrite. *)
-  let reschedule, drain_backward = worklist ~next:Waves.max_binding_opt in
-  if not full then begin
-    Hashtbl.iter (fun net () -> reschedule net) solved;
-    Hashtbl.iter (fun net () -> reschedule net) t.req_seed
-  end;
+  Hashtbl.iter (fun net () -> reschedule net) t.req_seed;
   Hashtbl.reset t.req_seed;
   let min2 (a, b) (c, e) = (Float.min a c, Float.min b e) in
   let inf2 = (infinity, infinity) in
@@ -606,16 +587,13 @@ let pass ~strict t =
         Hashtbl.replace t.req_driver net dr;
         Hashtbl.replace slack_dirty net ();
         (* the driver gate's inputs see a new through-requirement *)
-        if not full then
-          match net_drivers d net with
-          | inst :: _ -> List.iter reschedule (find_gate d inst).inputs
-          | [] -> ())
+        match net_drivers d net with
+        | inst :: _ -> List.iter reschedule (find_gate d inst).inputs
+        | [] -> ())
   in
-  if full then
-    for w = Array.length t.waves - 1 downto 0 do
-      List.iter visit t.waves.(w)
-    done
-  else drain_backward (List.iter visit);
+  for w = Array.length backward - 1 downto 0 do
+    List.iter visit backward.(w)
+  done;
   (* per-pin slacks at the binding transition, per net *)
   let slack_entries net =
     match Hashtbl.find_opt t.timed net with

@@ -1371,6 +1371,66 @@ let test_ac_magnitude_db () =
   rel ~tol:1e-9 "20 dB" 20. db.(0);
   rel ~tol:1e-9 "-20 dB" (-20.) db.(1)
 
+(* [Awe.Cache.bytes] is a running count kept by publish and remove:
+   a duplicate adds nothing, caches sharing one pattern store all read
+   that store's count, a shard's publications count once absorbed, and
+   removing every entry brings the count back to zero. *)
+let test_cache_bytes_running_count () =
+  let module C = Awe.Cache in
+  let tridiag n =
+    Sparse.Csr.of_dense
+      (Linalg.Matrix.init n n (fun i j ->
+           if i = j then 2. else if abs (i - j) = 1 then -1. else 0.))
+  in
+  let s3 = Sparse.Slu.symbolic (tridiag 3)
+  and s5 = Sparse.Slu.symbolic (tridiag 5) in
+  let patterns = C.create_patterns () in
+  let a : float array C.t = C.create ~patterns ()
+  and b : float array C.t = C.create ~patterns () in
+  let count msg expected c = Alcotest.(check int) msg expected (C.bytes c) in
+  let published msg expected r = Alcotest.(check bool) msg expected r in
+  count "empty" 0 a;
+  published "exact" true (C.publish_exact a ~hash:"h" ~signature:"s1" [| 1. |]);
+  let e1 = C.bytes a in
+  Alcotest.(check bool) "an entry counts" true (e1 > 0);
+  published "duplicate exact" false
+    (C.publish_exact a ~hash:"h" ~signature:"s1" [| 1.; 2.; 3. |]);
+  count "duplicate exact adds nothing" e1 a;
+  published "second signature" true
+    (C.publish_exact a ~hash:"h" ~signature:"s2" [| 1.; 2.; 3. |]);
+  let e12 = C.bytes a in
+  Alcotest.(check bool) "second entry counts" true (e12 > e1);
+  count "exact tier is per cache" 0 b;
+  published "symbolic" true (C.publish_symbolic a ~hash:"p" s3);
+  let p3 = C.bytes a - e12 in
+  Alcotest.(check bool) "a symbolic counts" true (p3 > 0);
+  count "the sharer reads the store's count" p3 b;
+  published "duplicate symbolic through the sharer" false
+    (C.publish_symbolic b ~hash:"p" (Sparse.Slu.symbolic (tridiag 3)));
+  count "duplicate symbolic adds nothing" p3 b;
+  published "second analysis under the hash" true
+    (C.publish_symbolic b ~hash:"p" s5);
+  let p35 = C.bytes b in
+  Alcotest.(check bool) "second analysis counts" true (p35 > p3);
+  count "the publisher's sharer sees it" (e12 + p35) a;
+  (* a shard's publication counts as the direct one did *)
+  let c : float array C.t = C.create () in
+  let sh = C.Shard.create () in
+  C.Shard.publish_exact sh ~hash:"h" ~signature:"s1" [| 1. |];
+  C.absorb c sh;
+  count "absorbed entry" e1 c;
+  published "remove exact" true (C.remove_exact a ~hash:"h" ~signature:"s1");
+  published "remove exact again" false
+    (C.remove_exact a ~hash:"h" ~signature:"s1");
+  count "removal subtracts" (e12 - e1 + p35) a;
+  published "remove second exact" true
+    (C.remove_exact a ~hash:"h" ~signature:"s2");
+  Alcotest.(check int) "remove symbolics" 2 (C.remove_symbolic b ~hash:"p");
+  count "all removed" 0 a;
+  count "all removed, sharer" 0 b;
+  published "remove absorbed" true (C.remove_exact c ~hash:"h" ~signature:"s1");
+  count "all removed, absorbed" 0 c
+
 let () =
   Alcotest.run "core"
     [ ( "moments",
@@ -1507,6 +1567,9 @@ let () =
           Alcotest.test_case "scoped window" `Quick test_stats_scoped_window;
           Alcotest.test_case "scoped exception safety" `Quick
             test_stats_scoped_exception_safe ] );
+      ( "cache",
+        [ Alcotest.test_case "bytes is a running count" `Quick
+            test_cache_bytes_running_count ] );
       ( "ac",
         [ Alcotest.test_case "exact RC lowpass" `Quick
             test_ac_exact_rc_lowpass;
