@@ -596,23 +596,6 @@ let corners_json (cr : Sta.corners_report) paths =
     (json_float cr.Sta.critical_arrival_overall)
     (String.concat "," (List.map path_json paths))
 
-let pp_slack_table ppf (r : Sta.report) =
-  Format.fprintf ppf "@[<v>slack (worst first):";
-  List.iter
-    (fun (s : Sta.pin_slack) ->
-      Format.fprintf ppf
-        "@,  %-10s %-8s %-4s arrival %.4g ns  required %.4g ns  slack %.4g \
-         ns"
-        s.Sta.sp_net
-        (match s.Sta.sp_pin with None -> "(driver)" | Some i -> i)
-        (Sta.transition_string s.Sta.sp_transition)
-        (s.Sta.sp_arrival *. 1e9)
-        (s.Sta.sp_required *. 1e9)
-        (s.Sta.sp_slack *. 1e9))
-    r.Sta.slacks;
-  Format.fprintf ppf "@,worst slack: %.4g ns%s@]" (r.Sta.worst_slack *. 1e9)
-    (if r.Sta.worst_slack < 0. then "  (VIOLATED)" else "")
-
 let cmd_timing design_path model { sparse; stats; reduce; jobs; use_cache }
     strict slack_only top_k corners_path json =
   let design = read_design design_path in
@@ -642,7 +625,7 @@ let cmd_timing design_path model { sparse; stats; reduce; jobs; use_cache }
       in
       if json then print_endline (report_json report paths)
       else begin
-        if slack_only then Format.printf "%a@." pp_slack_table report
+        if slack_only then Format.printf "%a@." Sta.pp_slacks report
         else Format.printf "%a@." (Sta.pp_report ~verbose:stats) report;
         if paths <> [] then Format.printf "%a@." Sta.pp_paths paths
       end;
@@ -690,7 +673,7 @@ let cmd_timing design_path model { sparse; stats; reduce; jobs; use_cache }
           List.iter
             (fun (r : Sta.corner_run) ->
               Format.printf "corner %s:@.%a@."
-                r.Sta.run_corner.Circuit.Corner.name pp_slack_table
+                r.Sta.run_corner.Circuit.Corner.name Sta.pp_slacks
                 r.Sta.run_report)
             cr.Sta.runs;
         if paths <> [] then

@@ -6,18 +6,21 @@
     counter; phase CPU time accumulates under a phase name.
     [Sta.analyze] additionally counts MNA assemblies.
 
-    The counters are {e domain-local}: each domain owns an independent
-    counter record, so concurrent solves in a {!Parallel} pool never
-    contend or interleave.  Within one domain the counters are
-    monotone and the classic before/after [snapshot] + [diff] idiom
-    measures a region of code.  Parallel drivers instead wrap each
-    task in [scoped] — which observes exactly that task's counts,
-    wherever it ran — and combine the per-task windows with the
-    commutative, associative [merge], so reported totals are identical
-    for any execution schedule and any job count.  ([phase_seconds] is
-    per-domain CPU time and is summed by [merge]; unlike the integer
-    counters it is measurement, not arithmetic, and may vary run to
-    run.)
+    The counters are {e domain-local}: each domain holds its own
+    [snapshot] (a domain-local reference to an immutable record that
+    every [record_*] replaces with a field update), so concurrent
+    solves in a {!Parallel} pool never contend or interleave.  The
+    record below is the only declaration of the counters: [zero],
+    [merge], [diff], [scoped] and [replay] are derived from it.  Within
+    one domain the counters are monotone and the classic before/after
+    [snapshot] + [diff] idiom measures a region of code.  Parallel
+    drivers instead wrap each task in [scoped] — which observes exactly
+    that task's counts, wherever it ran — and combine the per-task
+    windows with the commutative, associative [merge], so reported
+    totals are identical for any execution schedule and any job count.
+    ([phase_seconds] is per-domain CPU time and is summed by [merge];
+    unlike the integer counters it is measurement, not arithmetic, and
+    may vary run to run.)
 
     The counters exist to make the paper's central economy checkable:
     timing a net with N sinks must show exactly one factorization, and
@@ -59,9 +62,6 @@ type snapshot = {
       (** incremental re-times abandoned for a full cold re-analysis *)
   phase_seconds : (string * float) list;  (** CPU seconds per phase *)
 }
-
-val reset : unit -> unit
-(** Zero the calling domain's counters and phase timers. *)
 
 val snapshot : unit -> snapshot
 (** The calling domain's counters. *)

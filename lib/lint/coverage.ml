@@ -2,9 +2,9 @@
    timing DAG (Sta.Dag — built from the design's connectivity index,
    the same graph the analysis engine schedules its Kahn waves on).
 
-   Endpoints are the nets carrying a required time: explicit
-   constraint cards, plus the clock default on unconstrained primary
-   outputs.  Three passes:
+   Endpoints are the nets carrying a required time ([Sta.endpoints],
+   the engine's own rule): explicit constraint cards, plus the clock
+   default on unconstrained primary outputs.  Three passes:
 
    - W131: with no clock card, a primary output without an explicit
      constraint has no required time at all — its whole input cone
@@ -60,16 +60,7 @@ let check_design (dag : Sta.Dag.t) (d : Sta.design) =
       match Sta.Dag.index dag net with
       | Some i -> endpoint.(i) <- Some t
       | None -> ())
-    cons;
-  (match clock with
-  | Some p ->
-    List.iter
-      (fun po ->
-        match Sta.Dag.index dag po with
-        | Some i when endpoint.(i) = None -> endpoint.(i) <- Some p
-        | _ -> ())
-      pos
-  | None -> ());
+    (Sta.endpoints d);
   (* W131 — only meaningful without a clock default *)
   if clock = None then
     List.iter

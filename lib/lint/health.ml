@@ -267,16 +267,13 @@ let check_design (d : Sta.design) ~spread_limit =
               cap.(i) <- cap.(i) +. s.Sta.cap)
             segs;
           (* each sink pin on the net adds its input capacitance at the
-             node named after its instance *)
+             node named after its instance, as in the solved stage *)
           List.iter
             (fun inst ->
               Dataflow.tick ();
               let g = Sta.find_gate d inst in
               let c =
-                List.fold_left
-                  (fun acc n ->
-                    if n = net then acc +. g.Sta.cell.Sta.input_cap else acc)
-                  0. g.Sta.inputs
+                float_of_int (Sta.pin_count g net) *. g.Sta.cell.Sta.input_cap
               in
               match Hashtbl.find_opt ids inst with
               | Some i -> cap.(i) <- cap.(i) +. c

@@ -105,13 +105,7 @@ type t = {
          newest first; cleared on success, replayed on fallback *)
   mutable pending : int;
   mutable last_report : report option;
-  mutable tot_edits : int;
-  mutable tot_retimes : int;
-  mutable tot_dirty : int;
-  mutable tot_reused : int;
-  mutable tot_fallbacks : int;
-  mutable tot_forward : int;
-  mutable tot_backward : int;
+  mutable totals : totals;
 }
 
 (* What one pass did: nets re-solved, nets reused (scheduled minus
@@ -294,33 +288,20 @@ let rebuild_net t net timings =
 
 (* --- endpoints ----------------------------------------------------- *)
 
-(* Rebuild the endpoint requirement table (explicit constraints, then
-   the clock period for unconstrained primary outputs) and seed the
-   backward pass with every net whose endpoint value changed,
+(* Rebuild the endpoint requirement table ({!Timing.endpoints}) and
+   seed the backward pass with every net whose endpoint value changed,
    appeared, or disappeared. *)
 let rebuild_endpoints t =
-  let d = t.d in
-  let fresh : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun (net, tt) -> Hashtbl.replace fresh net tt) (constraints d);
-  (match clock_period d with
-  | None -> ()
-  | Some period ->
-    List.iter
-      (fun net ->
-        if not (Hashtbl.mem fresh net) then Hashtbl.replace fresh net period)
-      (primary_output_nets d));
-  Hashtbl.iter
-    (fun net v ->
-      match Hashtbl.find_opt t.endpoint_req net with
-      | Some v' when v' = v -> ()
-      | _ -> Hashtbl.replace t.req_seed net ())
-    fresh;
-  Hashtbl.iter
-    (fun net _ ->
-      if not (Hashtbl.mem fresh net) then Hashtbl.replace t.req_seed net ())
-    t.endpoint_req;
+  let old = Hashtbl.copy t.endpoint_req in
   Hashtbl.reset t.endpoint_req;
-  Hashtbl.iter (fun net v -> Hashtbl.replace t.endpoint_req net v) fresh
+  List.iter
+    (fun (net, v) ->
+      Hashtbl.replace t.endpoint_req net v;
+      if Hashtbl.find_opt old net = Some v then Hashtbl.remove old net
+      else Hashtbl.replace t.req_seed net ())
+    (endpoints t.d);
+  (* what is left changed value or is no endpoint any more *)
+  Hashtbl.iter (fun net _ -> Hashtbl.replace t.req_seed net ()) old
 
 (* --- slack order ---------------------------------------------------- *)
 
@@ -752,13 +733,14 @@ let engine ~model ~sparse ~jobs ~reduce ~cache (d : design) =
     rollback = [];
     pending = 0;
     last_report = None;
-    tot_edits = 0;
-    tot_retimes = 0;
-    tot_dirty = 0;
-    tot_reused = 0;
-    tot_fallbacks = 0;
-    tot_forward = 0;
-    tot_backward = 0 }
+    totals =
+      { total_edits = 0;
+        total_retimes = 0;
+        total_dirty = 0;
+        total_reused = 0;
+        total_fallbacks = 0;
+        total_forward_visits = 0;
+        total_backward_visits = 0 } }
 
 let analyze ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(strict = true)
     ?(reduce = true) ?cache d =
@@ -826,7 +808,8 @@ let rec apply_edit t edit =
     let inputs = replace_first old from_net to_net in
     apply_edit t (Set_inputs { inst; inputs })
   | Set_inputs { inst; inputs } ->
-    let old = (find_gate t.d inst).inputs in
+    let g = find_gate t.d inst in
+    let old = g.inputs in
     if inputs = [] then fail "gate %s has no inputs" inst;
     List.iter
       (fun net ->
@@ -837,13 +820,14 @@ let rec apply_edit t edit =
             fail "net %s has no segment reaching sink %s" net inst)
       inputs;
     set_gate_inputs t.d ~inst ~inputs;
-    (* the output's arrival inputs changed; nets whose sink membership
-       changed get a new stage circuit *)
-    Hashtbl.replace t.touched (find_gate t.d inst).output ();
-    let removed = List.filter (fun n -> not (List.mem n inputs)) (distinct old) in
-    let added = List.filter (fun n -> not (List.mem n old)) (distinct inputs) in
-    List.iter (invalidate t) (removed @ added);
-    if removed <> [] || added <> [] then t.schedule_valid <- false;
+    (* the output's arrival inputs changed; a net whose pin count on the
+       gate changed gets a new stage circuit (its sink set or its load) *)
+    let g' = find_gate t.d inst in
+    Hashtbl.replace t.touched g'.output ();
+    List.iter
+      (fun n -> if pin_count g n <> pin_count g' n then invalidate t n)
+      (distinct (old @ inputs));
+    if distinct old <> distinct inputs then t.schedule_valid <- false;
     Set_inputs { inst; inputs = old }
   | Set_drive { inst; value } ->
     let g = find_gate t.d inst in
@@ -905,23 +889,22 @@ let retime_now t =
   let report, { w_dirty = dirty; w_reused = reused; w_forward; w_backward } =
     pass ~strict:true t
   in
-  let edits = t.pending in
-  Awe.Stats.record_eco ~edits ~dirty_nets:dirty ~reused_nets:reused
-    ~full_fallbacks:0;
-  t.tot_retimes <- t.tot_retimes + 1;
-  t.tot_dirty <- t.tot_dirty + dirty;
-  t.tot_reused <- t.tot_reused + reused;
-  t.tot_forward <- t.tot_forward + w_forward;
-  t.tot_backward <- t.tot_backward + w_backward;
-  let report =
-    { report with
-      stats =
-        Awe.Stats.merge report.stats
-          { Awe.Stats.zero with
-            Awe.Stats.eco_edits = edits;
-            eco_dirty_nets = dirty;
-            eco_reused_nets = reused } }
+  (* the window lands in the report and folds back into the ambient
+     counters *)
+  let (), eco =
+    Awe.Stats.scoped (fun () ->
+        Awe.Stats.record_eco ~edits:t.pending ~dirty_nets:dirty
+          ~reused_nets:reused ~full_fallbacks:0)
   in
+  let tt = t.totals in
+  t.totals <-
+    { tt with
+      total_retimes = tt.total_retimes + 1;
+      total_dirty = tt.total_dirty + dirty;
+      total_reused = tt.total_reused + reused;
+      total_forward_visits = tt.total_forward_visits + w_forward;
+      total_backward_visits = tt.total_backward_visits + w_backward };
+  let report = { report with stats = Awe.Stats.merge report.stats eco } in
   t.last_report <- Some report;
   report
 
@@ -953,7 +936,7 @@ let commit t =
    that timed successfully before, so the recovery re-time succeeds
    barring a broken invariant (in which case its exception escapes). *)
 let fallback t msg =
-  t.tot_fallbacks <- t.tot_fallbacks + 1;
+  t.totals <- { t.totals with total_fallbacks = t.totals.total_fallbacks + 1 };
   Awe.Stats.record_eco ~edits:0 ~dirty_nets:0 ~reused_nets:0 ~full_fallbacks:1;
   List.iter (fun e -> ignore (apply_edit t e)) t.rollback;
   t.undo <- t.undo_saved;
@@ -983,7 +966,7 @@ let apply t edit =
     t.undo <- (edit, inverse) :: t.undo;
     t.rollback <- inverse :: t.rollback;
     t.pending <- t.pending + 1;
-    t.tot_edits <- t.tot_edits + 1;
+    t.totals <- { t.totals with total_edits = t.totals.total_edits + 1 };
     Ok ()
   | exception Malformed msg -> Error msg
 
@@ -996,7 +979,7 @@ let revert t =
       t.undo <- rest;
       t.rollback <- edit :: t.rollback;
       t.pending <- t.pending + 1;
-      t.tot_edits <- t.tot_edits + 1;
+      t.totals <- { t.totals with total_edits = t.totals.total_edits + 1 };
       Ok edit
     | exception Malformed msg -> Error ("revert failed: " ^ msg))
 
@@ -1021,11 +1004,4 @@ let pending_edits t = t.pending
 
 let cache t = Option.get t.cache
 
-let totals t =
-  { total_edits = t.tot_edits;
-    total_retimes = t.tot_retimes;
-    total_dirty = t.tot_dirty;
-    total_reused = t.tot_reused;
-    total_fallbacks = t.tot_fallbacks;
-    total_forward_visits = t.tot_forward;
-    total_backward_visits = t.tot_backward }
+let totals t = t.totals

@@ -7,9 +7,10 @@
     costs the nets an edit reaches, not the design:
 
     - {e Forward}, per wave in sorted net order.  An edit seeds the
-      nets it touched: the net of a wire, sink-membership, pin-cap or
-      drive edit (its memo goes stale), and the output net of a gate
-      whose intrinsic or inputs changed.  A visited net pulls its
+      nets it touched: the net of a wire, pin-cap or drive edit, or of
+      an input edit that changes how many of a gate's pins sit on it
+      (its memo goes stale), and the output net of a gate whose
+      intrinsic or inputs changed.  A visited net pulls its
       arrival tuple; it is re-solved when its own content changed or
       its input slew changed bitwise, and otherwise re-timed from the
       per-net memo.  When its published record changes (bitwise), the

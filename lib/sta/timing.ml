@@ -102,6 +102,9 @@ let net_drivers (d : design) net =
 let net_sinks (d : design) net =
   match Hashtbl.find d.sinks net with l -> l | exception Not_found -> []
 
+let pin_count (g : gate) net =
+  List.fold_left (fun n i -> if i = net then n + 1 else n) 0 g.inputs
+
 let add_gate (d : design) ~inst ~cell ~inputs ~output =
   if Hashtbl.mem d.gates inst then malformed "duplicate gate instance %s" inst;
   Hashtbl.replace d.gates inst
@@ -159,6 +162,19 @@ let clock_line (d : design) = d.clock_ln
 
 let constraints (d : design) =
   Hashtbl.fold (fun net t acc -> (net, t) :: acc) d.required []
+  |> List.sort compare
+
+let endpoints (d : design) =
+  let clocked =
+    match d.clock with
+    | None -> []
+    | Some period ->
+      List.filter_map
+        (fun net ->
+          if Hashtbl.mem d.required net then None else Some (net, period))
+        d.pos
+  in
+  Hashtbl.fold (fun net t acc -> (net, t) :: acc) d.required clocked
   |> List.sort compare
 
 (* --- in-place edits (the Session layer's vocabulary) ---------------
@@ -421,7 +437,9 @@ let net_circuit (d : design) ~net ~driver_res ~slew =
           seg.seg_to "0" seg.cap)
     segments;
   (* sink loads, newest-declared sink first: the order fixes the pin
-     numbering, the node order and so the cache signature *)
+     numbering, the node order and so the cache signature.  A gate with
+     several pins on the net loads it with one capacitor per gate, of
+     its input capacitance times that pin count. *)
   let sink_nodes = ref [] in
   List.iteri
     (fun i inst ->
@@ -432,10 +450,9 @@ let net_circuit (d : design) ~net ~driver_res ~slew =
       in
       if not attached then
         malformed "net %s has no segment reaching sink %s" net g.inst;
-      if g.cell.input_cap > 0. then
-        Circuit.Netlist.add_c b
-          (Printf.sprintf "cpin%d" i)
-          g.inst "0" g.cell.input_cap;
+      let cap = float_of_int (pin_count g net) *. g.cell.input_cap in
+      if cap > 0. then
+        Circuit.Netlist.add_c b (Printf.sprintf "cpin%d" i) g.inst "0" cap;
       sink_nodes := (g.inst, Circuit.Netlist.node b g.inst) :: !sink_nodes)
     (net_sinks d net);
   (Circuit.Netlist.freeze b, List.rev !sink_nodes)
@@ -828,20 +845,6 @@ let critical_paths (d : design) (r : report) ~k =
         (fun st -> Hashtbl.replace sink_results (nt.net_name, st.sink_inst) st)
         nt.sinks)
     r.nets;
-  let endpoint_req : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun (net, t) -> Hashtbl.replace endpoint_req net t) (constraints d);
-  (match d.clock with
-  | None -> ()
-  | Some period ->
-    List.iter
-      (fun net ->
-        if not (Hashtbl.mem endpoint_req net) then
-          Hashtbl.replace endpoint_req net period)
-      (primary_output_nets d));
-  let endpoints =
-    Hashtbl.fold (fun net t acc -> (net, t) :: acc) endpoint_req []
-    |> List.sort compare
-  in
   let candidates =
     List.concat_map
       (fun (net, t) ->
@@ -864,7 +867,7 @@ let critical_paths (d : design) (r : report) ~k =
               in
               (net, pin, tr, arr, t, sl))
             pins)
-      endpoints
+      (endpoints d)
   in
   let candidates =
     List.sort
@@ -1021,6 +1024,20 @@ type corners_report = {
 
 let pin_string = function None -> "(driver)" | Some inst -> inst
 
+let pp_slacks ppf r =
+  Format.fprintf ppf "@[<v>slack (worst first):";
+  List.iter
+    (fun s ->
+      Format.fprintf ppf
+        "@,  %-10s %-8s %-4s arrival %.4g ns  required %.4g ns  slack \
+         %.4g ns"
+        s.sp_net (pin_string s.sp_pin)
+        (transition_string s.sp_transition)
+        (s.sp_arrival *. 1e9) (s.sp_required *. 1e9) (s.sp_slack *. 1e9))
+    r.slacks;
+  Format.fprintf ppf "@,worst slack: %.4g ns%s@]" (r.worst_slack *. 1e9)
+    (if r.worst_slack < 0. then "  (VIOLATED)" else "")
+
 let pp_report ?(verbose = false) ppf r =
   Format.fprintf ppf "@[<v>";
   List.iter
@@ -1045,20 +1062,7 @@ let pp_report ?(verbose = false) ppf r =
        ~pp_sep:(fun ppf () -> Format.fprintf ppf " -> ")
        Format.pp_print_string)
     r.critical_path;
-  if r.slacks <> [] then begin
-    Format.fprintf ppf "@,slack (worst first):";
-    List.iter
-      (fun s ->
-        Format.fprintf ppf
-          "@,  %-10s %-8s %-4s arrival %.4g ns  required %.4g ns  slack \
-           %.4g ns"
-          s.sp_net (pin_string s.sp_pin)
-          (transition_string s.sp_transition)
-          (s.sp_arrival *. 1e9) (s.sp_required *. 1e9) (s.sp_slack *. 1e9))
-      r.slacks;
-    Format.fprintf ppf "@,worst slack: %.4g ns%s" (r.worst_slack *. 1e9)
-      (if r.worst_slack < 0. then "  (VIOLATED)" else "")
-  end;
+  if r.slacks <> [] then Format.fprintf ppf "@,%a" pp_slacks r;
   if verbose then
     Format.fprintf ppf "@,engine counters (%d nets):@,%a"
       (List.length r.nets) Awe.Stats.pp r.stats;

@@ -49,9 +49,9 @@ val add_gate :
 
 val add_net : design -> name:string -> segments:segment list -> unit
 (** Declare a net's interconnect tree.  Sinks attach (with their input
-    capacitance) at the net-local node that carries the sink gate's
-    name, i.e. a segment whose [seg_to] equals the sink instance
-    name. *)
+    capacitance, once per pin on the net — see {!pin_count}) at the
+    net-local node that carries the sink gate's name, i.e. a segment
+    whose [seg_to] equals the sink instance name. *)
 
 val add_primary_input : design -> net:string -> ?arrival:float -> ?slew:float -> unit -> unit
 (** Drive a net from outside the design ([slew] is the input rise time
@@ -84,6 +84,12 @@ val clock_period : design -> float option
 
 val constraints : design -> (string * float) list
 (** All explicit constraints, sorted by net name. *)
+
+val endpoints : design -> (string * float) list
+(** The timing endpoints with their required times, sorted by net
+    name: every explicit constraint, then the clock period at every
+    primary output without one.  The one rule the engine's backward
+    pass, {!critical_paths} and lint's coverage checks share. *)
 
 val constraint_line : design -> string -> int option
 (** Source line of the [constraint] card naming the net, when the
@@ -130,6 +136,12 @@ val net_sinks : design -> string -> string list
     gate however many of its pins are on the net, newest declared first
     — the order {!net_circuit} numbers sink pins in and a report lists
     a net's sinks in.  O(1); an edit never reorders it. *)
+
+val pin_count : gate -> string -> int
+(** How many of the gate's input pins sit on the net (0 when the gate
+    is not its sink): the multiple of the cell's [input_cap] the gate
+    loads the net with, in the solved stage ({!net_circuit}) and in
+    lint's Elmore bounds alike. *)
 
 (** {2 In-place edits}
 
@@ -432,8 +444,9 @@ val net_circuit :
   design -> net:string -> driver_res:float -> slew:float ->
   Circuit.Netlist.circuit * (string * Circuit.Element.node) list
 (** The stage circuit a net analysis solves (exposed for inspection and
-    testing): Thevenin driver, wire segments, sink load capacitances.
-    Returns the circuit and the sink-name to node mapping. *)
+    testing): Thevenin driver, wire segments, and per sink gate one
+    load capacitor of its [input_cap] times its {!pin_count} on the
+    net.  Returns the circuit and the sink-name to node mapping. *)
 
 val critical_paths : design -> report -> k:int -> path list
 (** The [k] worst slack paths, worst first — a pure function of an
@@ -487,6 +500,11 @@ val pp_report : ?verbose:bool -> Format.formatter -> report -> unit
     counters of the analysis.  Prints per-sink rise/fall delays, the
     critical path, and — when the design is constrained — the slack
     table, worst first. *)
+
+val pp_slacks : Format.formatter -> report -> unit
+(** The slack table alone: every pin slack, worst first, then the
+    worst slack — the section {!pp_report} prints for a constrained
+    design, and [awesim timing --slack]'s output. *)
 
 val pp_paths : Format.formatter -> path list -> unit
 (** Stage-by-stage rendering of {!critical_paths} output. *)

@@ -102,7 +102,10 @@ let test_serve_stdio () =
    every run must reproduce its recording byte for byte.  The report is
    %.4g text, so it is stable across libm builds.  A lint transcript
    names its deck, so the deck path as run is rewritten to its
-   repository-relative form. *)
+   repository-relative form.  The [--stats] transcript pins every
+   engine counter [Awe.Stats.pp] prints (cache bytes included); its
+   phase-time lines are CPU measurements that vary run to run, so
+   phase lines are dropped from every transcript before comparing. *)
 let golden_runs () =
   let corners = locate [ "../../decks/corners.json"; "decks/corners.json" ] in
   [ ("timing_slack_top3.txt", [ "timing"; "--slack"; "--top-k"; "3"; design () ]);
@@ -110,6 +113,7 @@ let golden_runs () =
     ( "timing_corners_top2.txt",
       [ "timing"; "--corners"; corners; "--top-k"; "2"; design () ] );
     ("timing_fanout_top1.txt", [ "timing"; "--top-k"; "1"; fanout () ]);
+    ("timing_stats_j1.txt", [ "timing"; "--stats"; "-j"; "1"; design () ]);
     ("lint_multi_driver.txt", [ "lint"; multi_driver () ]) ]
 
 (* every occurrence of [sub] in [s] replaced by [by] *)
@@ -130,6 +134,17 @@ let replace_all ~sub ~by s =
   go 0;
   Buffer.contents b
 
+(* an [Awe.Stats.pp] phase line: "<phase> time: <value> ms" *)
+let is_phase_line l =
+  match List.filter (fun w -> w <> "") (String.split_on_char ' ' l) with
+  | [ _; "time:"; _; "ms" ] -> true
+  | _ -> false
+
+let drop_phase_lines out =
+  String.split_on_char '\n' out
+  |> List.filter (fun l -> not (is_phase_line l))
+  |> String.concat "\n"
+
 let test_golden () =
   List.iter
     (fun (file, args) ->
@@ -138,6 +153,7 @@ let test_golden () =
       let code, out = run args in
       let out =
         replace_all ~sub:(multi_driver ()) ~by:"decks/lint/multi_driver.sta" out
+        |> drop_phase_lines
       in
       Alcotest.(check string) file expected (Printf.sprintf "exit %d\n%s" code out))
     (golden_runs ())

@@ -1213,18 +1213,105 @@ let snap ?(phases = []) f m fi r e b =
     eco_full_fallbacks = 0;
     phase_seconds = phases }
 
-let stat_ints (s : Awe.Stats.snapshot) =
+(* Every integer counter: its name, getter, setter, and its writer
+   (recording [n] of it into the calling domain), so a test can set one
+   counter alone.  [cache_bytes] has no writer: the timing engine merges
+   the cache footprint into a report, and no domain records it. *)
+let counter_fields =
+  let times f n = for _ = 1 to n do f () done in
+  let reduction ?(nodes = 0) ?(elements = 0) ?(parallels = 0) ?(series = 0)
+      ?(chains = 0) ?(stars = 0) () =
+    Awe.Stats.record_reduction ~nodes ~elements ~parallels ~series ~chains
+      ~stars
+  in
+  let eco ?(edits = 0) ?(dirty_nets = 0) ?(reused_nets = 0)
+      ?(full_fallbacks = 0) () =
+    Awe.Stats.record_eco ~edits ~dirty_nets ~reused_nets ~full_fallbacks
+  in
   Awe.Stats.
-    ( s.factorizations,
-      s.moment_solves,
-      s.fits,
-      s.fit_retries,
-      s.order_escalations,
-      s.mna_builds,
-      s.cache_exact_hits,
-      s.cache_pattern_hits,
-      s.cache_misses,
-      s.cache_bytes )
+    [ ( "factorizations",
+        (fun s -> s.factorizations),
+        (fun s n -> { s with factorizations = n }),
+        Some (times record_factorization) );
+      ( "moment_solves",
+        (fun s -> s.moment_solves),
+        (fun s n -> { s with moment_solves = n }),
+        Some (times record_moment_solve) );
+      ( "fits",
+        (fun s -> s.fits),
+        (fun s n -> { s with fits = n }),
+        Some (times record_fit) );
+      ( "fit_retries",
+        (fun s -> s.fit_retries),
+        (fun s n -> { s with fit_retries = n }),
+        Some (times record_fit_retry) );
+      ( "order_escalations",
+        (fun s -> s.order_escalations),
+        (fun s n -> { s with order_escalations = n }),
+        Some (times record_order_escalation) );
+      ( "mna_builds",
+        (fun s -> s.mna_builds),
+        (fun s n -> { s with mna_builds = n }),
+        Some (times record_mna_build) );
+      ( "cache_exact_hits",
+        (fun s -> s.cache_exact_hits),
+        (fun s n -> { s with cache_exact_hits = n }),
+        Some (times record_cache_exact_hit) );
+      ( "cache_pattern_hits",
+        (fun s -> s.cache_pattern_hits),
+        (fun s n -> { s with cache_pattern_hits = n }),
+        Some (times record_cache_pattern_hit) );
+      ( "cache_misses",
+        (fun s -> s.cache_misses),
+        (fun s n -> { s with cache_misses = n }),
+        Some (times record_cache_miss) );
+      ( "cache_bytes",
+        (fun s -> s.cache_bytes),
+        (fun s n -> { s with cache_bytes = n }),
+        None );
+      ( "reduce_nodes_eliminated",
+        (fun s -> s.reduce_nodes_eliminated),
+        (fun s n -> { s with reduce_nodes_eliminated = n }),
+        Some (fun n -> reduction ~nodes:n ()) );
+      ( "reduce_elements_eliminated",
+        (fun s -> s.reduce_elements_eliminated),
+        (fun s n -> { s with reduce_elements_eliminated = n }),
+        Some (fun n -> reduction ~elements:n ()) );
+      ( "reduce_parallel_merges",
+        (fun s -> s.reduce_parallel_merges),
+        (fun s n -> { s with reduce_parallel_merges = n }),
+        Some (fun n -> reduction ~parallels:n ()) );
+      ( "reduce_series_merges",
+        (fun s -> s.reduce_series_merges),
+        (fun s n -> { s with reduce_series_merges = n }),
+        Some (fun n -> reduction ~series:n ()) );
+      ( "reduce_chain_lumps",
+        (fun s -> s.reduce_chain_lumps),
+        (fun s n -> { s with reduce_chain_lumps = n }),
+        Some (fun n -> reduction ~chains:n ()) );
+      ( "reduce_star_merges",
+        (fun s -> s.reduce_star_merges),
+        (fun s n -> { s with reduce_star_merges = n }),
+        Some (fun n -> reduction ~stars:n ()) );
+      ( "eco_edits",
+        (fun s -> s.eco_edits),
+        (fun s n -> { s with eco_edits = n }),
+        Some (fun n -> eco ~edits:n ()) );
+      ( "eco_dirty_nets",
+        (fun s -> s.eco_dirty_nets),
+        (fun s n -> { s with eco_dirty_nets = n }),
+        Some (fun n -> eco ~dirty_nets:n ()) );
+      ( "eco_reused_nets",
+        (fun s -> s.eco_reused_nets),
+        (fun s n -> { s with eco_reused_nets = n }),
+        Some (fun n -> eco ~reused_nets:n ()) );
+      ( "eco_full_fallbacks",
+        (fun s -> s.eco_full_fallbacks),
+        (fun s n -> { s with eco_full_fallbacks = n }),
+        Some (fun n -> eco ~full_fallbacks:n ()) ) ]
+
+let stat_ints (s : Awe.Stats.snapshot) =
+  List.map (fun (_, get, _, _) -> get s) counter_fields
 
 let test_stats_merge_algebra () =
   let phases (s : Awe.Stats.snapshot) =
@@ -1279,6 +1366,66 @@ let test_stats_scoped_exception_safe () =
   let d = Awe.Stats.diff (Awe.Stats.snapshot ()) s0 in
   Alcotest.(check int) "window folded back on exception" 1
     d.Awe.Stats.mna_builds
+
+(* Each counter set alone, one at a time: it must survive [merge] with
+   [zero] on either side, [diff] to [zero] against itself, and — through
+   its writer — come out of a [scoped] window exactly, folded back into
+   the enclosing counters. *)
+let test_stats_each_counter () =
+  List.iteri
+    (fun i (name, get, set, write) ->
+      let v = 7 + i in
+      let s = set Awe.Stats.zero v in
+      let ints = Alcotest.(check (list int)) in
+      Alcotest.(check int) (name ^ ": set alone") v (get s);
+      ints (name ^ ": merge s zero") (stat_ints s)
+        (stat_ints (Awe.Stats.merge s Awe.Stats.zero));
+      ints (name ^ ": merge zero s") (stat_ints s)
+        (stat_ints (Awe.Stats.merge Awe.Stats.zero s));
+      ints (name ^ ": diff s s") (stat_ints Awe.Stats.zero)
+        (stat_ints (Awe.Stats.diff s s));
+      let s0 = Awe.Stats.snapshot () in
+      (match write with
+      | Some write ->
+        let (), w = Awe.Stats.scoped (fun () -> write v) in
+        ints (name ^ ": scoped window") (stat_ints s) (stat_ints w);
+        ints (name ^ ": folded back") (stat_ints s)
+          (stat_ints (Awe.Stats.diff (Awe.Stats.snapshot ()) s0))
+      | None ->
+        (* no writer: windows and the ambient counters read 0 *)
+        let (), w = Awe.Stats.scoped (fun () -> Awe.Stats.record_fit ()) in
+        Alcotest.(check int) (name ^ ": window reads 0") 0 (get w);
+        Alcotest.(check int) (name ^ ": ambient reads 0") 0
+          (get (Awe.Stats.snapshot ()))))
+    counter_fields
+
+(* [replay] re-records exactly the six work counters of a snapshot
+   whose every counter (and phase timer) is nonzero *)
+let test_stats_replay () =
+  let work =
+    [ "factorizations"; "moment_solves"; "fits"; "fit_retries";
+      "order_escalations"; "mna_builds" ]
+  in
+  let full, expected =
+    List.fold_left
+      (fun (full, expected) (i, (name, _, set, _)) ->
+        let v = 100 + i in
+        (set full v, if List.mem name work then set expected v else expected))
+      ( { Awe.Stats.zero with Awe.Stats.phase_seconds = [ ("fit", 1.) ] },
+        Awe.Stats.zero )
+      (List.mapi (fun i f -> (i, f)) counter_fields)
+  in
+  List.iter
+    (fun (name, get, _, _) ->
+      Alcotest.(check bool) (name ^ " nonzero") true (get full <> 0))
+    counter_fields;
+  let s0 = Awe.Stats.snapshot () in
+  let (), w = Awe.Stats.scoped (fun () -> Awe.Stats.replay full) in
+  Alcotest.(check (list int)) "the six work counters move" (stat_ints expected)
+    (stat_ints w);
+  Alcotest.(check bool) "phase timers stay" true (w.Awe.Stats.phase_seconds = []);
+  Alcotest.(check (list int)) "folded back" (stat_ints expected)
+    (stat_ints (Awe.Stats.diff (Awe.Stats.snapshot ()) s0))
 
 (* ------------------------------------------------------------------ *)
 (* AC analysis *)
@@ -1566,7 +1713,10 @@ let () =
         [ Alcotest.test_case "merge algebra" `Quick test_stats_merge_algebra;
           Alcotest.test_case "scoped window" `Quick test_stats_scoped_window;
           Alcotest.test_case "scoped exception safety" `Quick
-            test_stats_scoped_exception_safe ] );
+            test_stats_scoped_exception_safe;
+          Alcotest.test_case "each counter alone" `Quick test_stats_each_counter;
+          Alcotest.test_case "replay moves the work counters" `Quick
+            test_stats_replay ] );
       ( "cache",
         [ Alcotest.test_case "bytes is a running count" `Quick
             test_cache_bytes_running_count ] );

@@ -485,6 +485,39 @@ let check_reports_equal name (r1 : Sta.report) (rn : Sta.report) =
   Alcotest.(check bool) (name ^ ": merged stats identical") true
     (counters r1.Sta.stats = counters rn.Sta.stats)
 
+(* The sink-load model is per pin: decks/fanout.sta's g3 (a nand2)
+   lists net m on both pins, so it must time bit for bit like a copy in
+   which g3 lists m once and nand2's pin capacitance is doubled. *)
+let test_fanout_pin_load () =
+  let path =
+    match
+      List.find_opt Sys.file_exists
+        [ "../../decks/fanout.sta"; "decks/fanout.sta" ]
+    with
+    | Some p -> p
+    | None -> Alcotest.failf "decks/fanout.sta not found"
+  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let edit ~line ~by text =
+    let lines = String.split_on_char '\n' text in
+    if not (List.mem line lines) then
+      Alcotest.failf "fanout.sta has no line %S" line;
+    String.concat "\n" (List.map (fun l -> if l = line then by else l) lines)
+  in
+  let copy =
+    text
+    |> edit ~line:"gate g3 nand2 o3 m m" ~by:"gate g3 nand2 o3 m"
+    |> edit ~line:"cell nand2 300 25f 50p" ~by:"cell nand2 300 50f 50p"
+  in
+  let time text =
+    let d = Sta.Design_file.parse_string text in
+    let r = Sta.analyze d in
+    (r, Sta.critical_paths d r ~k:3)
+  in
+  let r2, p2 = time text and r1, p1 = time copy in
+  check_reports_equal "two pins = doubled pin cap" r1 r2;
+  Alcotest.(check bool) "top-3 paths bit-identical" true (p1 = p2)
+
 (* ------------------------------------------------------------------ *)
 (* An independent reference timer, written from the report's
    definition rather than from the engine: sequential, uncached, no
@@ -1872,6 +1905,18 @@ let test_index_order_under_edits () =
   ignore (Sta.Session.revert_all s);
   expect "all reverted" [ "g3"; "g2"; "g1" ] []
 
+(* A gate moving one of its two pins on net m to net b changes m's load
+   without m leaving the gate's sinks: the session must re-solve m as
+   well as b, in both directions. *)
+let test_session_pin_count_edit () =
+  let d = fanout_fixture () in
+  let s = Sta.Session.create ~reduce:false ~jobs:test_jobs d in
+  check_session_cold "g3 on m twice" s;
+  ap s (Sta.Session.Set_inputs { inst = "g3"; inputs = [ "b"; "m" ] });
+  check_session_cold "g3 moves a pin to b" s;
+  ap s (Sta.Session.Set_inputs { inst = "g3"; inputs = [ "m"; "m" ] });
+  check_session_cold "g3 back on m twice" s
+
 let test_session_topology_edits () =
   let s = Sta.Session.create ~reduce:false (swap_fixture ()) in
   check_session_cold "pre-swap" s;
@@ -2183,6 +2228,7 @@ let () =
           Alcotest.test_case "awe matches simulation" `Quick
             test_awe_delay_matches_simulation;
           Alcotest.test_case "fanout" `Quick test_fanout_net;
+          Alcotest.test_case "fan-out load per pin" `Quick test_fanout_pin_load;
           Alcotest.test_case "slew propagation" `Quick test_slew_propagates ] );
       ( "design_file",
         [ Alcotest.test_case "matches API build" `Quick
@@ -2270,6 +2316,8 @@ let () =
           Alcotest.test_case "topology edits" `Quick test_session_topology_edits;
           Alcotest.test_case "sink order under topology edits" `Quick
             test_index_order_under_edits;
+          Alcotest.test_case "a pin moves between two nets" `Quick
+            test_session_pin_count_edit;
           Alcotest.test_case "rejected edits mutate nothing" `Quick
             test_session_apply_validation;
           Alcotest.test_case "metamorphic edit streams" `Slow
