@@ -1,9 +1,14 @@
 (* Reproduction harness: one experiment per table and figure of the
    paper's evaluation (Sections IV-V), plus the scaling and ablation
-   studies called out in DESIGN.md.
+   studies called out in DESIGN.md, and the gated STA scenarios.
 
-     dune exec bench/main.exe            runs everything
-     dune exec bench/main.exe -- fig23   runs one experiment
+     dune exec bench/main.exe                 runs everything
+     dune exec bench/main.exe -- fig23        runs one experiment
+     dune exec bench/main.exe -- --smoke      runs the gated scenarios
+                                              at smoke size
+
+   Gated scenarios and verify write BENCH_<name>.json; a failed gate or
+   identity check makes the run exit 1 once every requested one has run.
 
    Absolute element values differ from the (unpublished) originals; the
    quantities compared are the paper's *claims*: who wins, error
@@ -754,25 +759,7 @@ let parallel_design ~chains ~depth ~rungs =
   done;
   d
 
-(* structural report equality, excluding the phase timers (measured
-   CPU time; the determinism contract covers results and the integer
-   counters, not wall/CPU measurements) *)
-let sta_reports_identical (a : Sta.report) (b : Sta.report) =
-  a.Sta.nets = b.Sta.nets
-  && a.Sta.critical_arrival = b.Sta.critical_arrival
-  && a.Sta.critical_path = b.Sta.critical_path
-  && a.Sta.failures = b.Sta.failures
-
-let sta_stats_identical (a : Sta.report) (b : Sta.report) =
-  let s1 = a.Sta.stats and s2 = b.Sta.stats in
-  s1.Awe.Stats.factorizations = s2.Awe.Stats.factorizations
-  && s1.Awe.Stats.moment_solves = s2.Awe.Stats.moment_solves
-  && s1.Awe.Stats.fits = s2.Awe.Stats.fits
-  && s1.Awe.Stats.fit_retries = s2.Awe.Stats.fit_retries
-  && s1.Awe.Stats.order_escalations = s2.Awe.Stats.order_escalations
-  && s1.Awe.Stats.mna_builds = s2.Awe.Stats.mna_builds
-
-let sta_parallel ?(smoke = false) () =
+let sta_parallel ~smoke =
   section
     (if smoke then "STA parallel fan-out — smoke (overhead gate)"
      else "STA parallel fan-out — wall-clock speedup vs jobs");
@@ -781,81 +768,49 @@ let sta_parallel ?(smoke = false) () =
   in
   let d = parallel_design ~chains ~depth ~rungs in
   let nets = List.length (Sta.net_names d) in
-  let cores = Parallel.default_jobs () in
   note "design: %d chains x %d stages = %d nets; %d recommended domains"
-    chains depth nets cores;
-  let analyze jobs = Sta.analyze ~model:Sta.Awe_auto ~sparse:true ~jobs d in
+    chains depth nets (Parallel.default_jobs ());
   (* per-jobs warm-up + median-of-[reps]; medians are the headline
      numbers, the min/max spread rides along in the JSON *)
-  let timed jobs = timed_runs ~reps (fun () -> analyze jobs) in
-  let jobs_sweep = [ 1; 2; 4; 8 ] in
-  let results = List.map (fun j -> (j, timed j)) jobs_sweep in
+  let results, _ =
+    jobs_sweep ~what:"reports" ~reps [ 1; 2; 4; 8 ] (fun jobs ->
+        Sta.analyze ~model:Sta.Awe_auto ~sparse:true ~jobs d)
+  in
   let t1 = (fst (List.assoc 1 results)).t_med in
-  let r1 = snd (List.assoc 1 results) in
-  let r4 = snd (List.assoc 4 results) in
+  let t4 = (fst (List.assoc 4 results)).t_med in
   List.iter
     (fun (j, (t, _)) ->
       note "jobs=%d  median %8.2f ms  [%.2f .. %.2f]   speedup %.2fx" j
         (1e3 *. t.t_med) (1e3 *. t.t_min) (1e3 *. t.t_max) (t1 /. t.t_med))
     results;
-  let identical = sta_reports_identical r1 r4 in
-  let stats_identical = sta_stats_identical r1 r4 in
+  let r1 = snd (List.assoc 1 results) in
+  let all same = List.for_all (fun (_, (_, r)) -> same r1 r) results in
+  let identical = all reports_identical in
+  let stats_identical = all work_identical in
   claim ~paper:"parallel evaluation is an execution detail, not a model"
-    "jobs=1 vs jobs=4: reports identical %b, merged counters identical %b"
+    "jobs=1 vs jobs=2/4/8: reports identical %b, merged counters identical %b"
     identical stats_identical;
-  if not (identical && stats_identical) then begin
-    note "DETERMINISM VIOLATION — failing";
-    exit 1
-  end;
-  let json_path = "BENCH_sta_parallel.json" in
-  let oc = open_out json_path in
-  let per_jobs field =
-    String.concat ", "
-      (List.map
-         (fun (j, (t, _)) -> Printf.sprintf "\"%d\": %.3f" j (field t))
-         results)
-  in
-  Printf.fprintf oc
-    "{ \"scenario\": \"sta_parallel\", \"smoke\": %b, \"cores\": %d,\n\
-    \  \"chains\": %d, \"depth\": %d, \"rungs\": %d, \"nets\": %d,\n\
-    \  \"reps\": %d,\n\
-    \  \"ms_median_per_jobs\": { %s },\n\
-    \  \"ms_min_per_jobs\": { %s },\n\
-    \  \"ms_max_per_jobs\": { %s },\n\
-    \  \"speedup_vs_jobs1\": { %s },\n\
-    \  \"reports_identical\": %b, \"stats_identical\": %b }\n"
-    smoke cores chains depth rungs nets reps
-    (per_jobs (fun t -> 1e3 *. t.t_med))
-    (per_jobs (fun t -> 1e3 *. t.t_min))
-    (per_jobs (fun t -> 1e3 *. t.t_max))
-    (per_jobs (fun t -> t1 /. t.t_med))
-    identical stats_identical;
-  close_out oc;
-  note "wrote %s" json_path;
-  if smoke then begin
-    (* overhead gate: jobs=4 must not lose more than 10% to jobs=1
-       (plus 5 ms absolute slack so sub-ms noise can't flake the CI
-       job on small designs); medians, not single shots *)
-    let t4 = (fst (List.assoc 4 results)).t_med in
-    if t4 > (1.1 *. t1) +. 5e-3 then begin
-      note "SMOKE FAIL: jobs=4 %.2f ms vs jobs=1 %.2f ms (>10%% slower)"
-        (1e3 *. t4) (1e3 *. t1);
-      exit 1
-    end
-    else
-      note "smoke ok: jobs=4 %.2f ms vs jobs=1 %.2f ms" (1e3 *. t4)
-        (1e3 *. t1)
-  end
+  (* overhead gate: jobs=4 must not lose more than 10% to jobs=1
+     (plus 5 ms absolute slack so sub-ms noise can't flake the CI
+     job on small designs); medians, not single shots *)
+  if smoke then
+    ignore
+      (check
+         (Printf.sprintf "jobs=4 %.2f ms vs jobs=1 %.2f ms (>10%% slower)"
+            (1e3 *. t4) (1e3 *. t1))
+         (t4 <= (1.1 *. t1) +. 5e-3));
+  let per_jobs f = by_jobs (fun (t, _) -> num "%.3f" (f t)) results in
+  write_bench ~smoke "sta_parallel"
+    [ ("chains", Int chains); ("depth", Int depth); ("rungs", Int rungs);
+      ("nets", Int nets); ("reps", Int reps);
+      ("ms_median_per_jobs", per_jobs (fun t -> 1e3 *. t.t_med));
+      ("ms_min_per_jobs", per_jobs (fun t -> 1e3 *. t.t_min));
+      ("ms_max_per_jobs", per_jobs (fun t -> 1e3 *. t.t_max));
+      ("speedup_vs_jobs1", per_jobs (fun t -> t1 /. t.t_med));
+      ("reports_identical", Bool identical);
+      ("stats_identical", Bool stats_identical) ]
 
-(* the cache's own counters, for cross-jobs determinism of cached runs
-   (bytes excluded: the footprint is measured, not counted) *)
-let sta_cache_counters_identical (a : Sta.report) (b : Sta.report) =
-  let s1 = a.Sta.stats and s2 = b.Sta.stats in
-  s1.Awe.Stats.cache_exact_hits = s2.Awe.Stats.cache_exact_hits
-  && s1.Awe.Stats.cache_pattern_hits = s2.Awe.Stats.cache_pattern_hits
-  && s1.Awe.Stats.cache_misses = s2.Awe.Stats.cache_misses
-
-let sta_cache_bench ?(smoke = false) () =
+let sta_cache_bench ~smoke =
   section
     (if smoke then "STA structure cache — smoke (hit rate + identity gates)"
      else "STA structure cache — cold vs warm wall-clock");
@@ -864,14 +819,12 @@ let sta_cache_bench ?(smoke = false) () =
   in
   let d = parallel_design ~chains ~depth ~rungs in
   let nets = List.length (Sta.net_names d) in
-  let cores = Parallel.default_jobs () in
   note "design: %d chains x %d stages = %d nets; %d recommended domains"
-    chains depth nets cores;
+    chains depth nets (Parallel.default_jobs ());
   let analyze ?cache jobs =
     Sta.analyze ~model:Sta.Awe_auto ~sparse:true ~jobs ?cache d
   in
-  let jobs_list = [ 1; 4 ] in
-  let per_jobs =
+  let rows =
     List.map
       (fun jobs ->
         (* cold: every rep — the warm-up included — rebuilds the cache
@@ -879,9 +832,7 @@ let sta_cache_bench ?(smoke = false) () =
            entries from an earlier one (first analysis of the design;
            within-run template hits still fire) *)
         let cold_t, cold_r =
-          timed_runs ~reps (fun () ->
-              let cache = Sta.create_cache () in
-              analyze ~cache jobs)
+          timed_runs ~reps (fun () -> analyze ~cache:(Sta.create_cache ()) jobs)
         in
         (* warm: one shared cache populated by a prior analysis — the
            steady state of incremental re-timing *)
@@ -889,21 +840,7 @@ let sta_cache_bench ?(smoke = false) () =
         ignore (analyze ~cache jobs);
         let warm_t, warm_r = timed_runs ~reps (fun () -> analyze ~cache jobs) in
         let off_r = analyze jobs in
-        (jobs, (cold_t, cold_r, warm_t, warm_r, off_r)))
-      jobs_list
-  in
-  let ok = ref true in
-  let check what b =
-    if not b then begin
-      note "IDENTITY VIOLATION: %s" what;
-      ok := false
-    end;
-    b
-  in
-  let rows =
-    List.map
-      (fun (jobs, (cold_t, cold_r, warm_t, warm_r, off_r)) ->
-        let s = warm_r.Sta.stats in
+        let c = cold_r.Sta.stats and s = warm_r.Sta.stats in
         let hits = s.Awe.Stats.cache_exact_hits in
         let lookups = hits + s.Awe.Stats.cache_misses in
         let hit_rate =
@@ -915,92 +852,67 @@ let sta_cache_bench ?(smoke = false) () =
           jobs (1e3 *. cold_t.t_med) (1e3 *. warm_t.t_med)
           (cold_t.t_med /. warm_t.t_med)
           (100. *. hit_rate);
-        let reports_id =
+        let both same = same off_r cold_r && same off_r warm_r in
+        let rid =
           check
             (Printf.sprintf "jobs=%d cache-on reports vs cache-off" jobs)
-            (sta_reports_identical off_r cold_r
-            && sta_reports_identical off_r warm_r)
+            (both reports_identical)
         in
-        let counters_id =
+        let cid =
           check
-            (Printf.sprintf "jobs=%d cache-on solve counters vs cache-off"
-               jobs)
-            (sta_stats_identical off_r cold_r
-            && sta_stats_identical off_r warm_r)
+            (Printf.sprintf "jobs=%d cache-on solve counters vs cache-off" jobs)
+            (both work_identical)
         in
-        (jobs, cold_t, warm_t, cold_r, warm_r, hit_rate, reports_id,
-         counters_id))
-      per_jobs
+        ( (cold_r, warm_r, rid && cid),
+          ( string_of_int jobs,
+            Obj
+              [ ("cold_ms", ms_spread cold_t); ("warm_ms", ms_spread warm_t);
+                ( "speedup_warm_vs_cold",
+                  num "%.2f" (cold_t.t_med /. warm_t.t_med) );
+                ("cold_exact_hits", Int c.Awe.Stats.cache_exact_hits);
+                ("cold_pattern_hits", Int c.Awe.Stats.cache_pattern_hits);
+                ("cold_misses", Int c.Awe.Stats.cache_misses);
+                ("warm_exact_hits", Int hits);
+                ("warm_misses", Int s.Awe.Stats.cache_misses);
+                ("warm_hit_rate", num "%.3f" hit_rate);
+                ("cache_bytes", Int s.Awe.Stats.cache_bytes);
+                ("reports_identical", Bool rid);
+                ("counters_identical", Bool cid) ] ) ))
+      [ 1; 4 ]
   in
   (* cross-jobs determinism of the cached runs themselves *)
-  let _, _, _, cr1, wr1, _, _, _ = List.nth rows 0 in
-  let _, _, _, cr4, wr4, _, _, _ = List.nth rows 1 in
+  let (cr1, wr1, _), _ = List.nth rows 0 in
+  let (cr4, wr4, _), _ = List.nth rows 1 in
+  let both same = same cr1 cr4 && same wr1 wr4 in
+  let cross_reports =
+    check "cached reports jobs=1 vs jobs=4" (both reports_identical)
+  in
   let cross =
-    check "cached reports jobs=1 vs jobs=4"
-      (sta_reports_identical cr1 cr4 && sta_reports_identical wr1 wr4)
-    && check "cache counters jobs=1 vs jobs=4"
-         (sta_cache_counters_identical cr1 cr4
-         && sta_cache_counters_identical wr1 wr4)
+    check "cache counters jobs=1 vs jobs=4" (both cache_counters_identical)
+    && cross_reports
   in
   claim
     ~paper:"don't pay for the same structure twice (eq. 32 amortized)"
     "cache-on/off identical %b, cross-jobs identical %b"
-    (List.for_all (fun (_, _, _, _, _, _, r, c) -> r && c) rows)
+    (List.for_all (fun ((_, _, ok), _) -> ok) rows)
     cross;
-  let json_path = "BENCH_sta_cache.json" in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{ \"scenario\": \"sta_cache\", \"smoke\": %b, \"cores\": %d,\n\
-    \  \"chains\": %d, \"depth\": %d, \"rungs\": %d, \"nets\": %d, \"reps\": \
-     %d,\n\
-    \  \"jobs\": {\n%s\n  },\n\
-    \  \"cross_jobs_identical\": %b }\n"
-    smoke cores chains depth rungs nets reps
-    (String.concat ",\n"
-       (List.map
-          (fun (jobs, cold_t, warm_t, cold_r, warm_r, hit_rate, rid, cid) ->
-            let s = warm_r.Sta.stats and c = cold_r.Sta.stats in
-            Printf.sprintf
-              "    \"%d\": { \"cold_ms\": [%.3f, %.3f, %.3f], \"warm_ms\": \
-               [%.3f, %.3f, %.3f],\n\
-              \      \"speedup_warm_vs_cold\": %.2f,\n\
-              \      \"cold_exact_hits\": %d, \"cold_pattern_hits\": %d, \
-               \"cold_misses\": %d,\n\
-              \      \"warm_exact_hits\": %d, \"warm_misses\": %d, \
-               \"warm_hit_rate\": %.3f,\n\
-              \      \"cache_bytes\": %d,\n\
-              \      \"reports_identical\": %b, \"counters_identical\": %b }"
-              jobs (1e3 *. cold_t.t_min) (1e3 *. cold_t.t_med)
-              (1e3 *. cold_t.t_max) (1e3 *. warm_t.t_min)
-              (1e3 *. warm_t.t_med) (1e3 *. warm_t.t_max)
-              (cold_t.t_med /. warm_t.t_med)
-              c.Awe.Stats.cache_exact_hits c.Awe.Stats.cache_pattern_hits
-              c.Awe.Stats.cache_misses s.Awe.Stats.cache_exact_hits
-              s.Awe.Stats.cache_misses hit_rate s.Awe.Stats.cache_bytes rid
-              cid)
-          rows))
-    cross;
-  close_out oc;
-  note "wrote %s" json_path;
-  if not !ok then begin
-    note "IDENTITY VIOLATION — failing";
-    exit 1
-  end;
+  (* CI gate: the chain design must produce exact-tier hits — warm
+     runs should hit on (essentially) every looked-up net *)
   if smoke then begin
-    (* CI gate: the chain design must produce exact-tier hits — warm
-       runs should hit on (essentially) every looked-up net *)
-    let warm_hits (_, _, _, _, wr, _, _, _) =
-      wr.Sta.stats.Awe.Stats.cache_exact_hits
+    let hits =
+      List.map (fun ((_, wr, _), _) -> wr.Sta.stats.Awe.Stats.cache_exact_hits) rows
     in
-    if List.exists (fun row -> warm_hits row = 0) rows then begin
-      note "SMOKE FAIL: warm run produced no exact-tier hits";
-      exit 1
-    end
-    else
-      note "smoke ok: warm exact hits %s"
-        (String.concat "/"
-           (List.map (fun row -> string_of_int (warm_hits row)) rows))
-  end
+    ignore
+      (check
+         (Printf.sprintf "warm exact-tier hits %s: a warm run hit nothing"
+            (String.concat "/" (List.map string_of_int hits)))
+         (not (List.mem 0 hits)))
+  end;
+  write_bench ~smoke "sta_cache"
+    [ ("chains", Int chains); ("depth", Int depth); ("rungs", Int rungs);
+      ("nets", Int nets); ("reps", Int reps);
+      ("jobs", Obj (List.map snd rows));
+      ("cross_jobs_identical", Bool cross) ]
 
 (* The cold-cache scaling scenario behind ROADMAP item 4: (1) the
    regression gate — cold cache at jobs=4 must stay within 10% of
@@ -1012,7 +924,7 @@ let sta_cache_bench ?(smoke = false) () =
    sole lever; (3) the linearity gate — cold cost per net may grow at
    most 1.3x from a 1,000- to an 8,000-stage chain and from a 25x25 to
    a 100x100 grid. *)
-let sta_scale ?(smoke = false) () =
+let sta_scale ~smoke =
   section
     (if smoke then "STA scale — smoke (cold-overhead, linearity gates + identities)"
      else "STA scale — cold-cache jobs sweep on 10k-net-class designs");
@@ -1023,34 +935,28 @@ let sta_scale ?(smoke = false) () =
     let cache = Sta.create_cache () in
     Sta.analyze ~model:Sta.Awe_auto ~sparse:true ~jobs ~cache d
   in
-  let ok = ref true in
-  let check what b =
-    if not b then begin
-      note "IDENTITY VIOLATION: %s" what;
-      ok := false
-    end
-  in
   (* -- part 1: the chain-design regression gate ------------------- *)
   let chains, depth, rungs, reps =
     if smoke then (4, 4, 4, 5) else (16, 16, 8, 5)
   in
   let chain_d = parallel_design ~chains ~depth ~rungs in
   let chain_nets = List.length (Sta.net_names chain_d) in
-  let t1, r1 = timed_runs ~reps (fun () -> cold_analyze chain_d 1) in
-  let t4, r4 = timed_runs ~reps (fun () -> cold_analyze chain_d 4) in
+  let chain, chain_identical =
+    jobs_sweep ~what:"chain cold reports" ~reps [ 1; 4 ] (cold_analyze chain_d)
+  in
+  let t1 = fst (List.assoc 1 chain) and t4 = fst (List.assoc 4 chain) in
   note
     "chain %d nets: cold jobs=1 %8.2f ms, cold jobs=4 %8.2f ms (ratio %.2fx)"
     chain_nets (1e3 *. t1.t_med) (1e3 *. t4.t_med) (t4.t_med /. t1.t_med);
-  check "chain cold reports jobs=1 vs jobs=4"
-    (sta_reports_identical r1 r4 && sta_stats_identical r1 r4
-    && sta_cache_counters_identical r1 r4);
   (* the regression this scenario exists to keep dead: cold jobs=4
      within 10% of cold jobs=1 (5 ms absolute slack against sub-ms
      noise on small smoke designs) *)
-  let chain_gate_ok = t4.t_med <= (1.1 *. t1.t_med) +. 5e-3 in
-  if not chain_gate_ok then
-    note "GATE FAIL: cold jobs=4 %.2f ms vs jobs=1 %.2f ms (>10%% slower)"
-      (1e3 *. t4.t_med) (1e3 *. t1.t_med);
+  let chain_gate_ok =
+    check
+      (Printf.sprintf "cold jobs=4 %.2f ms vs jobs=1 %.2f ms (>10%% slower)"
+         (1e3 *. t4.t_med) (1e3 *. t1.t_med))
+      (t4.t_med <= (1.1 *. t1.t_med) +. 5e-3)
+  in
   (* -- part 2: jobs sweep over the Synth generators --------------- *)
   let designs =
     if smoke then
@@ -1063,32 +969,33 @@ let sta_scale ?(smoke = false) () =
         ("buffered_mesh", Sta.Synth.buffered_mesh ~rows:50 ~cols:50 ()) ]
   in
   let sweep_reps = if smoke then 3 else 5 in
-  let jobs_sweep = [ 1; 4; 8 ] in
   let per_design =
     List.map
       (fun (name, d) ->
         let nets = Sta.Synth.net_count d in
-        let results =
-          List.map
-            (fun j ->
-              (j, timed_runs ~reps:sweep_reps (fun () -> cold_analyze d j)))
-            jobs_sweep
+        let results, identical =
+          jobs_sweep ~what:(name ^ " cold") ~reps:sweep_reps [ 1; 4; 8 ]
+            (cold_analyze d)
         in
         let t1 = (fst (List.assoc 1 results)).t_med in
-        let r1 = snd (List.assoc 1 results) in
         List.iter
-          (fun (j, (t, r)) ->
+          (fun (j, (t, _)) ->
             note "%-14s %6d nets  jobs=%d  cold median %8.2f ms  speedup %.2fx"
-              name nets j (1e3 *. t.t_med) (t1 /. t.t_med);
-            if j <> 1 then
-              check
-                (Printf.sprintf "%s cold jobs=1 vs jobs=%d" name j)
-                (sta_reports_identical r1 r
-                && sta_stats_identical r1 r
-                && sta_cache_counters_identical r1 r))
+              name nets j (1e3 *. t.t_med) (t1 /. t.t_med))
           results;
-        (name, nets, results))
+        let per_jobs fmt f = by_jobs (fun (t, _) -> num fmt (f t)) results in
+        ( name,
+          ( results,
+            identical,
+            Obj
+              [ ("nets", Int nets);
+                ("cold_ms_per_jobs", per_jobs "%.3f" (fun t -> 1e3 *. t.t_med));
+                ("speedup_vs_jobs1", per_jobs "%.2f" (fun t -> t1 /. t.t_med)) ]
+          ) ))
       designs
+  in
+  let identities_ok =
+    chain_identical && List.for_all (fun (_, (_, ok, _)) -> ok) per_design
   in
   (* speedup gate: only meaningful with real cores.  The buffered mesh
      is the cache-hostile design — few repeated templates, so parallel
@@ -1100,21 +1007,18 @@ let sta_scale ?(smoke = false) () =
       true
     end
     else begin
-      let _, _, results =
-        List.find (fun (n, _, _) -> n = "buffered_mesh") per_design
-      in
+      let results, _, _ = List.assoc "buffered_mesh" per_design in
       let t1 = (fst (List.assoc 1 results)).t_med in
       let t4 = (fst (List.assoc 4 results)).t_med in
-      let pass = t4 <= t1 +. 2e-3 in
-      if not pass then
-        note "GATE FAIL: buffered_mesh cold jobs=4 %.2f ms vs jobs=1 %.2f ms"
-          (1e3 *. t4) (1e3 *. t1);
-      pass
+      check
+        (Printf.sprintf "buffered_mesh cold jobs=4 %.2f ms vs jobs=1 %.2f ms"
+           (1e3 *. t4) (1e3 *. t1))
+        (t4 <= t1 +. 2e-3)
     end
   in
   claim ~paper:"domain decomposition pays only at useful granularity"
     "cold jobs=4/jobs=1 ratio %.2f on %d-net chain, identities clean %b"
-    (t4.t_med /. t1.t_med) chain_nets !ok;
+    (t4.t_med /. t1.t_med) chain_nets identities_ok;
   (* -- part 3: the linearity gate --------------------------------- *)
   (* Cold analyze at jobs=1 with a fresh cache (the CLI defaults), in
      microseconds per net at two sizes of one family: with cost linear
@@ -1134,11 +1038,17 @@ let sta_scale ?(smoke = false) () =
     let us_small = us_per_net (small ()) in
     let us_big = us_per_net (big ()) in
     let ratio = us_big /. us_small in
-    let pass = ratio <= 1.3 in
     note "%-28s %8.1f -> %8.1f us/net  ratio %.2fx (gate: <= 1.3)" name
       us_small us_big ratio;
-    if not pass then note "GATE FAIL: %s grows %.2fx per net" name ratio;
-    (name, us_small, us_big, ratio, pass)
+    let pass =
+      check (Printf.sprintf "%s grows %.2fx per net" name ratio) (ratio <= 1.3)
+    in
+    ( ratio,
+      pass,
+      ( name,
+        Obj
+          [ ("us_per_net", Arr [ num "%.1f" us_small; num "%.1f" us_big ]);
+            ("ratio", num "%.3f" ratio); ("gate_ok", Bool pass) ] ) )
   in
   let ladder stages () = Sta.Synth.rc_ladder ~stages ~length:3 ~fanout:1 () in
   let grid n () = Sta.Synth.grid ~rows:n ~cols:n () in
@@ -1146,61 +1056,23 @@ let sta_scale ?(smoke = false) () =
   let chain_lin = linearity "rc_ladder 1000 -> 8000 stages" (ladder 1000) (ladder 8000) in
   let grid_lin = linearity "grid 25x25 -> 100x100" (grid 25) (grid 100) in
   let lin = [ chain_lin; grid_lin ] in
-  let linearity_gate_ok = List.for_all (fun (_, _, _, _, p) -> p) lin in
   claim ~paper:"the per-stage cost is one factorization (eq. 56), whatever the design size"
     "cold us/net ratios %s"
     (String.concat ", "
-       (List.map (fun (_, _, _, r, _) -> Printf.sprintf "%.2fx" r) lin));
-  let json_path = "BENCH_sta_scale.json" in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{ \"scenario\": \"sta_scale\", \"smoke\": %b, \"cores\": %d,\n\
-    \  \"chain\": { \"nets\": %d, \"reps\": %d,\n\
-    \    \"cold_ms_jobs1\": [%.3f, %.3f, %.3f],\n\
-    \    \"cold_ms_jobs4\": [%.3f, %.3f, %.3f],\n\
-    \    \"ratio_jobs4_vs_jobs1\": %.3f, \"gate_ok\": %b },\n\
-    \  \"designs\": {\n%s\n  },\n\
-    \  \"linearity\": {\n%s\n  },\n\
-    \  \"identities_ok\": %b, \"speedup_gate_ok\": %b,\n\
-    \  \"linearity_gate_ok\": %b }\n"
-    smoke cores chain_nets reps (1e3 *. t1.t_min) (1e3 *. t1.t_med)
-    (1e3 *. t1.t_max) (1e3 *. t4.t_min) (1e3 *. t4.t_med) (1e3 *. t4.t_max)
-    (t4.t_med /. t1.t_med) chain_gate_ok
-    (String.concat ",\n"
-       (List.map
-          (fun (name, nets, results) ->
-            let t1 = (fst (List.assoc 1 results)).t_med in
-            Printf.sprintf
-              "    \"%s\": { \"nets\": %d, \"cold_ms_per_jobs\": { %s },\n\
-              \      \"speedup_vs_jobs1\": { %s } }"
-              name nets
-              (String.concat ", "
-                 (List.map
-                    (fun (j, (t, _)) ->
-                      Printf.sprintf "\"%d\": %.3f" j (1e3 *. t.t_med))
-                    results))
-              (String.concat ", "
-                 (List.map
-                    (fun (j, (t, _)) ->
-                      Printf.sprintf "\"%d\": %.2f" j (t1 /. t.t_med))
-                    results)))
-          per_design))
-    (String.concat ",\n"
-       (List.map
-          (fun (name, us_small, us_big, ratio, pass) ->
-            Printf.sprintf
-              "    \"%s\": { \"us_per_net\": [%.1f, %.1f], \"ratio\": %.3f, \
-               \"gate_ok\": %b }"
-              name us_small us_big ratio pass)
-          lin))
-    !ok speedup_gate_ok linearity_gate_ok;
-  close_out oc;
-  note "wrote %s" json_path;
-  if not (!ok && chain_gate_ok && speedup_gate_ok && linearity_gate_ok) then begin
-    note "STA SCALE FAIL — failing";
-    exit 1
-  end
-  else note "sta_scale ok"
+       (List.map (fun (r, _, _) -> Printf.sprintf "%.2fx" r) lin));
+  write_bench ~smoke "sta_scale"
+    [ ( "chain",
+        Obj
+          [ ("nets", Int chain_nets); ("reps", Int reps);
+            ("cold_ms_jobs1", ms_spread t1); ("cold_ms_jobs4", ms_spread t4);
+            ("ratio_jobs4_vs_jobs1", num "%.3f" (t4.t_med /. t1.t_med));
+            ("gate_ok", Bool chain_gate_ok) ] );
+      ( "designs",
+        Obj (List.map (fun (name, (_, _, o)) -> (name, o)) per_design) );
+      ("linearity", Obj (List.map (fun (_, _, o) -> o) lin));
+      ("identities_ok", Bool identities_ok);
+      ("speedup_gate_ok", Bool speedup_gate_ok);
+      ("linearity_gate_ok", Bool (List.for_all (fun (_, p, _) -> p) lin)) ]
 
 (* Incremental ECO timing: a long-lived [Sta.Session] re-times only
    the dirty cone of an edit — the edited net is re-solved, downstream
@@ -1217,11 +1089,10 @@ let sta_scale ?(smoke = false) () =
    report equals a cold analyze of the edited design, field for field,
    at jobs 1 and 4, and the session cache fingerprint equals the cold
    cache's. *)
-let sta_eco ?(smoke = false) () =
+let sta_eco ~smoke =
   section
     (if smoke then "STA ECO — smoke (incremental-vs-cold gate + identities)"
      else "STA ECO — steady-state dirty-cone re-time vs cold analyze");
-  let cores = Parallel.default_jobs () in
   let rows, cols, reps = if smoke then (24, 24, 5) else (100, 100, 5) in
   let mk_design () =
     let d = Sta.Synth.grid ~rows ~cols () in
@@ -1243,27 +1114,28 @@ let sta_eco ?(smoke = false) () =
      every retime genuinely dirty (a no-op edit would flatter the
      incremental path) *)
   let r_a = 80. and r_b = 260. in
-  let mk_edit net v =
-    Sta.Session.Set_resistance { net; index = 0; value = v }
+  let edit s net v =
+    let e = Sta.Session.Set_resistance { net; index = 0; value = v } in
+    match Sta.Session.apply s e with
+    | Ok () -> ()
+    | Error msg -> failwith ("sta_eco: edit rejected: " ^ msg)
+  in
+  let retime s =
+    match Sta.Session.retime s with
+    | Ok r -> r
+    | Error msg -> failwith ("sta_eco: retime failed: " ^ msg)
   in
   note "design: grid %dx%d (%d nets); edits: %s (endpoint), %s (mid); \
         trunk R %g <-> %g Ohm"
     rows cols nets endpoint_net mid_net r_a r_b;
-  note "%d recommended domains" cores;
-  let ok = ref true in
-  let check what b =
-    if not b then begin
-      note "IDENTITY VIOLATION: %s" what;
-      ok := false
-    end
-  in
-  let cold_analyze d jobs =
-    let cache = Sta.create_cache () in
-    Sta.analyze ~model:Sta.Awe_auto ~sparse:true ~jobs ~cache d
-  in
+  note "%d recommended domains" (Parallel.default_jobs ());
   (* -- part 1: the speedup gate (jobs=1, median-of-reps) ----------- *)
   let cold_d = mk_design () in
-  let cold_t, _ = timed_runs ~reps (fun () -> cold_analyze cold_d 1) in
+  let cold_t, _ =
+    timed_runs ~reps (fun () ->
+        Sta.analyze ~model:Sta.Awe_auto ~sparse:true ~jobs:1
+          ~cache:(Sta.create_cache ()) cold_d)
+  in
   let s =
     Sta.Session.create ~model:Sta.Awe_auto ~sparse:true ~jobs:1 (mk_design ())
   in
@@ -1276,13 +1148,8 @@ let sta_eco ?(smoke = false) () =
     let t, _ =
       timed_runs ~reps (fun () ->
           flip := not !flip;
-          (match Sta.Session.apply s (mk_edit net (if !flip then r_b else r_a))
-           with
-          | Ok () -> ()
-          | Error msg -> failwith ("sta_eco: edit rejected: " ^ msg));
-          match Sta.Session.retime s with
-          | Ok r -> r
-          | Error msg -> failwith ("sta_eco: retime failed: " ^ msg))
+          edit s net (if !flip then r_b else r_a);
+          retime s)
     in
     let after = Sta.Session.totals s in
     let per_retime field =
@@ -1301,114 +1168,104 @@ let sta_eco ?(smoke = false) () =
        per retime)"
       label (1e3 *. t.t_med) (1e3 *. t.t_min) (1e3 *. t.t_max)
       (cold_t.t_med /. t.t_med) dirty nets fwd bwd;
-    (t, dirty, fwd, bwd)
+    ( t,
+      dirty,
+      fwd,
+      Obj
+        [ ("net", Str net); ("dirty_per_retime", num "%.1f" dirty);
+          ("forward_visits_per_retime", num "%.1f" fwd);
+          ("backward_visits_per_retime", num "%.1f" bwd) ] )
   in
   note "cold analyze  jobs=1  median %8.2f ms  [%.2f .. %.2f]"
     (1e3 *. cold_t.t_med) (1e3 *. cold_t.t_min) (1e3 *. cold_t.t_max);
-  let eco_t, dirty_endpoint, fwd_endpoint, bwd_endpoint =
+  let eco_t, dirty_endpoint, fwd_endpoint, endpoint_json =
     measure_eco "endpoint" endpoint_net
   in
-  let mid_t, dirty_mid, fwd_mid, bwd_mid = measure_eco "mid-grid" mid_net in
-  let totals = Sta.Session.totals s in
+  let mid_t, _, _, mid_json = measure_eco "mid-grid" mid_net in
+  let fallbacks = (Sta.Session.totals s).Sta.Session.total_fallbacks in
   let speedup = cold_t.t_med /. eco_t.t_med in
-  check "no full fallbacks taken" (totals.Sta.Session.total_fallbacks = 0);
-  let speedup_ok = speedup >= 5. in
-  if not speedup_ok then
-    note "GATE FAIL: endpoint eco retime %.2f ms vs cold %.2f ms — %.1fx < 5x"
-      (1e3 *. eco_t.t_med) (1e3 *. cold_t.t_med) speedup;
-  let visits_ok = fwd_endpoint <= 2. *. dirty_endpoint in
-  if not visits_ok then
-    note
-      "GATE FAIL: endpoint eco retime visits %.1f nets forward per retime, \
-       over 2x the %.1f it re-solves"
-      fwd_endpoint dirty_endpoint;
-  let gate_ok = speedup_ok && visits_ok in
-  (* -- part 2: bit-identity at jobs 1 and 4 ----------------------- *)
-  let identical (a : Sta.report) (b : Sta.report) =
-    sta_reports_identical a b
-    && a.Sta.slacks = b.Sta.slacks
-    && a.Sta.worst_slack = b.Sta.worst_slack
+  let no_fallbacks = check "no full fallbacks taken" (fallbacks = 0) in
+  let speedup_ok =
+    check
+      (Printf.sprintf
+         "endpoint eco retime %.2f ms vs cold %.2f ms — %.1fx < 5x"
+         (1e3 *. eco_t.t_med) (1e3 *. cold_t.t_med) speedup)
+      (speedup >= 5.)
   in
-  List.iter
-    (fun j ->
-      let sj =
-        Sta.Session.create ~model:Sta.Awe_auto ~sparse:true ~jobs:j
-          (mk_design ())
-      in
-      (* the deep-cone edit, so the identity check covers a retime that
-         re-solves hundreds of nets across several waves *)
-      (match Sta.Session.apply sj (mk_edit mid_net r_b) with
-      | Ok () -> ()
-      | Error msg -> failwith ("sta_eco: edit rejected: " ^ msg));
-      let inc =
-        match Sta.Session.retime sj with
-        | Ok r -> r
-        | Error msg -> failwith ("sta_eco: retime failed: " ^ msg)
-      in
-      let cold_cache = Sta.create_cache () in
-      let cold =
-        Sta.analyze ~model:Sta.Awe_auto ~sparse:true ~jobs:1 ~cache:cold_cache
-          (Sta.Session.design sj)
-      in
+  let visits_ok =
+    check
+      (Printf.sprintf
+         "endpoint eco retime visits %.1f nets forward per retime, over 2x \
+          the %.1f it re-solves"
+         fwd_endpoint dirty_endpoint)
+      (fwd_endpoint <= 2. *. dirty_endpoint)
+  in
+  (* -- part 2: bit-identity at jobs 1 and 4 ----------------------- *)
+  let identical j =
+    let sj =
+      Sta.Session.create ~model:Sta.Awe_auto ~sparse:true ~jobs:j (mk_design ())
+    in
+    (* the deep-cone edit, so the identity check covers a retime that
+       re-solves hundreds of nets across several waves *)
+    edit sj mid_net r_b;
+    let inc = retime sj in
+    let cold_cache = Sta.create_cache () in
+    let cold =
+      Sta.analyze ~model:Sta.Awe_auto ~sparse:true ~jobs:1 ~cache:cold_cache
+        (Sta.Session.design sj)
+    in
+    let report_ok =
       check
         (Printf.sprintf "eco jobs=%d report vs cold analyze of edited design" j)
-        (identical inc cold);
+        (reports_identical inc cold)
+    in
+    let cache_ok =
       check
         (Printf.sprintf "eco jobs=%d cache fingerprint vs cold cache" j)
         (Sta.cache_fingerprint (Sta.Session.cache sj)
-        = Sta.cache_fingerprint cold_cache);
-      (* edit-then-revert restores the pristine fingerprint exactly *)
-      let undone = Sta.Session.revert_all sj in
-      (match Sta.Session.retime sj with
-      | Ok _ -> ()
-      | Error msg -> failwith ("sta_eco: revert retime failed: " ^ msg));
-      let pristine_cache = Sta.create_cache () in
-      ignore
-        (Sta.analyze ~model:Sta.Awe_auto ~sparse:true ~jobs:1
-           ~cache:pristine_cache (mk_design ()));
+        = Sta.cache_fingerprint cold_cache)
+    in
+    (* edit-then-revert restores the pristine fingerprint exactly *)
+    let undone = Sta.Session.revert_all sj in
+    ignore (retime sj);
+    let pristine_cache = Sta.create_cache () in
+    ignore
+      (Sta.analyze ~model:Sta.Awe_auto ~sparse:true ~jobs:1
+         ~cache:pristine_cache (mk_design ()));
+    let restored =
       check
         (Printf.sprintf
            "eco jobs=%d fingerprint restored after reverting %d edit(s)" j
            undone)
         (Sta.cache_fingerprint (Sta.Session.cache sj)
-        = Sta.cache_fingerprint pristine_cache))
-    [ 1; 4 ];
+        = Sta.cache_fingerprint pristine_cache)
+    in
+    report_ok && cache_ok && restored
+  in
+  let identical_1 = identical 1 in
+  let identical_4 = identical 4 in
+  let identities_ok = no_fallbacks && identical_1 && identical_4 in
   claim ~paper:"ECO re-analysis touches the changed cone, not the design"
     "endpoint retime %.2f ms vs cold %.2f ms (%.1fx) on %d nets, \
      identities clean %b"
-    (1e3 *. eco_t.t_med) (1e3 *. cold_t.t_med) speedup nets !ok;
-  let json_path = "BENCH_sta_eco.json" in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{ \"scenario\": \"sta_eco\", \"smoke\": %b, \"cores\": %d,\n\
-    \  \"design\": { \"kind\": \"grid\", \"rows\": %d, \"cols\": %d, \
-     \"nets\": %d },\n\
-    \  \"edits\": { \"r_a\": %g, \"r_b\": %g,\n\
-    \    \"endpoint\": { \"net\": \"%s\", \"dirty_per_retime\": %.1f, \
-     \"forward_visits_per_retime\": %.1f, \"backward_visits_per_retime\": %.1f },\n\
-    \    \"mid\": { \"net\": \"%s\", \"dirty_per_retime\": %.1f, \
-     \"forward_visits_per_retime\": %.1f, \"backward_visits_per_retime\": %.1f } },\n\
-    \  \"reps\": %d,\n\
-    \  \"cold_ms\": [%.3f, %.3f, %.3f],\n\
-    \  \"eco_endpoint_ms\": [%.3f, %.3f, %.3f],\n\
-    \  \"eco_mid_ms\": [%.3f, %.3f, %.3f],\n\
-    \  \"speedup_endpoint\": %.2f, \"speedup_mid\": %.2f, \"fallbacks\": %d,\n\
-    \  \"speedup_gate_ok\": %b, \"visits_gate_ok\": %b, \"gate_ok\": %b, \
-     \"identities_ok\": %b }\n"
-    smoke cores rows cols nets r_a r_b endpoint_net dirty_endpoint fwd_endpoint
-    bwd_endpoint mid_net dirty_mid fwd_mid bwd_mid reps (1e3 *. cold_t.t_min)
-    (1e3 *. cold_t.t_med) (1e3 *. cold_t.t_max) (1e3 *. eco_t.t_min) (1e3 *. eco_t.t_med)
-    (1e3 *. eco_t.t_max) (1e3 *. mid_t.t_min) (1e3 *. mid_t.t_med)
-    (1e3 *. mid_t.t_max) speedup
-    (cold_t.t_med /. mid_t.t_med)
-    totals.Sta.Session.total_fallbacks speedup_ok visits_ok gate_ok !ok;
-  close_out oc;
-  note "wrote %s" json_path;
-  if not (gate_ok && !ok) then begin
-    note "STA ECO FAIL — failing";
-    exit 1
-  end
-  else note "sta_eco ok"
+    (1e3 *. eco_t.t_med) (1e3 *. cold_t.t_med) speedup nets identities_ok;
+  write_bench ~smoke "sta_eco"
+    [ ( "design",
+        Obj
+          [ ("kind", Str "grid"); ("rows", Int rows); ("cols", Int cols);
+            ("nets", Int nets) ] );
+      ( "edits",
+        Obj
+          [ ("r_a", num "%g" r_a); ("r_b", num "%g" r_b);
+            ("endpoint", endpoint_json); ("mid", mid_json) ] );
+      ("reps", Int reps); ("cold_ms", ms_spread cold_t);
+      ("eco_endpoint_ms", ms_spread eco_t); ("eco_mid_ms", ms_spread mid_t);
+      ("speedup_endpoint", num "%.2f" speedup);
+      ("speedup_mid", num "%.2f" (cold_t.t_med /. mid_t.t_med));
+      ("fallbacks", Int fallbacks); ("speedup_gate_ok", Bool speedup_ok);
+      ("visits_gate_ok", Bool visits_ok);
+      ("gate_ok", Bool (speedup_ok && visits_ok));
+      ("identities_ok", Bool identities_ok) ]
 
 (* Multi-corner signoff: N corners derate element values but never
    topology, so [Sta.analyze_corners] shares one pattern-tier store
@@ -1416,13 +1273,12 @@ let sta_eco ?(smoke = false) () =
    symbolic sparse analysis exactly once.  The gates are counter-based
    (exact-tier misses = fresh symbolic analyses), so they hold on any
    machine — wall-clock numbers ride along for information only. *)
-let sta_corners ?(smoke = false) () =
+let sta_corners ~smoke =
   section
     (if smoke then "STA multi-corner — smoke (shared pattern-tier gates)"
      else
        "STA multi-corner — one symbolic analysis per topology across \
         corners");
-  let cores = Parallel.default_jobs () in
   let rows, cols, reps = if smoke then (12, 12, 3) else (40, 40, 5) in
   let d = Sta.Synth.grid ~rows ~cols () in
   (* a clock makes every primary output an endpoint, so each corner
@@ -1439,7 +1295,7 @@ let sta_corners ?(smoke = false) () =
   let n = List.length corners in
   let nets = Sta.Synth.net_count d in
   note "design: grid %dx%d (%d nets); %d corners; %d recommended domains"
-    rows cols nets n cores;
+    rows cols nets n (Parallel.default_jobs ());
   (* baseline unit of symbolic work: one corner, private stores *)
   let single jobs =
     let cache = Sta.create_cache () in
@@ -1485,10 +1341,12 @@ let sta_corners ?(smoke = false) () =
   (* gate 1: N corners cost at most ~1.3x one corner's symbolic work —
      corners 2..N must ride the shared pattern tier, not re-analyze *)
   let work_ratio = float_of_int m_multi /. float_of_int (max 1 m_single) in
-  let work_gate_ok = work_ratio <= 1.3 in
-  if not work_gate_ok then
-    note "GATE FAIL: %d-corner symbolic work %.2fx the single corner" n
-      work_ratio;
+  let work_gate_ok =
+    check
+      (Printf.sprintf "%d-corner symbolic work %.2fx the single corner (> 1.3x)"
+         n work_ratio)
+      (work_ratio <= 1.3)
+  in
   (* gate 2: of the lookups that missed the exact tier, at least
      (N-1)/N hit the shared pattern tier — each later corner reuses
      what corner 1 paid for *)
@@ -1496,76 +1354,57 @@ let sta_corners ?(smoke = false) () =
     float_of_int p_multi /. float_of_int (max 1 (p_multi + m_multi))
   in
   let share_floor = float_of_int (n - 1) /. float_of_int n in
-  let share_gate_ok = share >= share_floor -. 1e-9 in
-  if not share_gate_ok then
-    note "GATE FAIL: pattern-hit share %.3f below (N-1)/N = %.3f" share
-      share_floor;
+  let share_gate_ok =
+    check
+      (Printf.sprintf "pattern-hit share %.3f below (N-1)/N = %.3f" share
+         share_floor)
+      (share >= share_floor -. 1e-9)
+  in
   (* determinism: the corner sweep is bit-identical across jobs *)
   let cr4 = multi 4 in
   let runs_identical =
-    List.for_all2
-      (fun a b ->
-        sta_reports_identical a.Sta.run_report b.Sta.run_report
-        && sta_stats_identical a.Sta.run_report b.Sta.run_report
-        && sta_cache_counters_identical a.Sta.run_report b.Sta.run_report
-        && a.Sta.run_report.Sta.slacks = b.Sta.run_report.Sta.slacks
-        && a.Sta.run_report.Sta.worst_slack
-           = b.Sta.run_report.Sta.worst_slack)
-      cr.Sta.runs cr4.Sta.runs
-    && cr.Sta.worst_corner = cr4.Sta.worst_corner
-    && cr.Sta.worst_slack_overall = cr4.Sta.worst_slack_overall
+    check "corner sweep jobs=1 vs jobs=4"
+      (List.for_all2
+         (fun a b ->
+           let a = a.Sta.run_report and b = b.Sta.run_report in
+           reports_identical a b && work_identical a b
+           && cache_counters_identical a b)
+         cr.Sta.runs cr4.Sta.runs
+      && cr.Sta.worst_corner = cr4.Sta.worst_corner
+      && cr.Sta.worst_slack_overall = cr4.Sta.worst_slack_overall)
   in
-  if not runs_identical then note "DETERMINISM VIOLATION: jobs=1 vs jobs=4";
   (* and identical to the naive unshared flow's reports (caching and
      sharing are execution details, never results) *)
   let reports_match_unshared =
-    List.for_all2
-      (fun run r ->
-        sta_reports_identical run.Sta.run_report r
-        && run.Sta.run_report.Sta.slacks = r.Sta.slacks)
-      cr.Sta.runs rs_unshared
+    check "shared-tier reports vs unshared"
+      (List.for_all2
+         (fun run r -> reports_identical run.Sta.run_report r)
+         cr.Sta.runs rs_unshared)
   in
-  if not reports_match_unshared then
-    note "IDENTITY VIOLATION: shared-tier reports differ from unshared";
   claim
     ~paper:"corners change values, never topology: symbolic work is \
             corner-invariant"
     "%d corners cost %.2fx one corner's symbolic analyses; pattern-hit \
      share %.2f; worst corner %s"
     n work_ratio share cr.Sta.worst_corner;
-  let json_path = "BENCH_sta_corners.json" in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{ \"scenario\": \"sta_corners\", \"smoke\": %b, \"cores\": %d,\n\
-    \  \"rows\": %d, \"cols\": %d, \"nets\": %d, \"corners\": %d, \"reps\": \
-     %d,\n\
-    \  \"ms_single\": [%.3f, %.3f, %.3f],\n\
-    \  \"ms_multi_shared\": [%.3f, %.3f, %.3f],\n\
-    \  \"ms_multi_unshared\": [%.3f, %.3f, %.3f],\n\
-    \  \"symbolic_misses_single\": %d, \"symbolic_misses_multi\": %d,\n\
-    \  \"symbolic_misses_unshared\": %d, \"pattern_hits_multi\": %d,\n\
-    \  \"symbolic_work_ratio\": %.3f, \"pattern_hit_share\": %.3f,\n\
-    \  \"worst_corner\": \"%s\", \"worst_slack_overall\": %.6g,\n\
-    \  \"work_gate_ok\": %b, \"share_gate_ok\": %b,\n\
-    \  \"jobs_identical\": %b, \"unshared_identical\": %b }\n"
-    smoke cores rows cols nets n reps (1e3 *. t_single.t_min)
-    (1e3 *. t_single.t_med) (1e3 *. t_single.t_max) (1e3 *. t_multi.t_min)
-    (1e3 *. t_multi.t_med) (1e3 *. t_multi.t_max) (1e3 *. t_unshared.t_min)
-    (1e3 *. t_unshared.t_med) (1e3 *. t_unshared.t_max) m_single m_multi
-    m_unshared p_multi work_ratio share cr.Sta.worst_corner
-    cr.Sta.worst_slack_overall work_gate_ok share_gate_ok runs_identical
-    reports_match_unshared;
-  close_out oc;
-  note "wrote %s" json_path;
-  if
-    not
-      (work_gate_ok && share_gate_ok && runs_identical
-     && reports_match_unshared)
-  then begin
-    note "STA CORNERS FAIL — failing";
-    exit 1
-  end
-  else note "sta_corners ok"
+  write_bench ~smoke "sta_corners"
+    [ ("rows", Int rows); ("cols", Int cols); ("nets", Int nets);
+      ("corners", Int n); ("reps", Int reps);
+      ("ms_single", ms_spread t_single);
+      ("ms_multi_shared", ms_spread t_multi);
+      ("ms_multi_unshared", ms_spread t_unshared);
+      ("symbolic_misses_single", Int m_single);
+      ("symbolic_misses_multi", Int m_multi);
+      ("symbolic_misses_unshared", Int m_unshared);
+      ("pattern_hits_multi", Int p_multi);
+      ("symbolic_work_ratio", num "%.3f" work_ratio);
+      ("pattern_hit_share", num "%.3f" share);
+      ("worst_corner", Str cr.Sta.worst_corner);
+      ("worst_slack_overall", num "%.6g" cr.Sta.worst_slack_overall);
+      ("work_gate_ok", Bool work_gate_ok);
+      ("share_gate_ok", Bool share_gate_ok);
+      ("jobs_identical", Bool runs_identical);
+      ("unshared_identical", Bool reports_match_unshared) ]
 
 (* Lint 2.0 at scale: the whole pass stack (core checks + W2xx health
    + W13x coverage) over Synth grids, gated on the dataflow engine's
@@ -1573,12 +1412,11 @@ let sta_corners ?(smoke = false) () =
    counter-based — transfer applications plus the passes' explicit
    linear-scan ticks — so it holds on loaded or single-core runners;
    wall time rides along for information only. *)
-let lint_scale ?(smoke = false) () =
+let lint_scale ~smoke =
   section
     (if smoke then "Lint scale — smoke (near-linearity gate)"
      else "Lint scale — dataflow work vs design size");
   let r1, c1, r2, c2 = if smoke then (20, 20, 40, 40) else (50, 50, 100, 100) in
-  let cores = Parallel.default_jobs () in
   let run rows cols =
     let d = Sta.Synth.grid ~rows ~cols () in
     let nets = List.length (Sta.net_names d) in
@@ -1601,27 +1439,22 @@ let lint_scale ?(smoke = false) () =
   claim ~paper:"static analysis must stay cheap next to the solves it guards"
     "work/net: %.1f (small) -> %.1f (big), growth %.3fx (gate: <= 1.5)"
     per_s per_b ratio;
-  let ok = ratio <= 1.5 in
-  let json_path = "BENCH_lint_scale.json" in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{ \"scenario\": \"lint_scale\", \"smoke\": %b, \"cores\": %d,\n\
-    \  \"grid_small\": [%d, %d], \"grid_big\": [%d, %d],\n\
-    \  \"nets_small\": %d, \"nets_big\": %d,\n\
-    \  \"work_small\": %d, \"work_big\": %d,\n\
-    \  \"diags_small\": %d, \"diags_big\": %d,\n\
-    \  \"ms_small\": %.3f, \"ms_big\": %.3f,\n\
-    \  \"work_per_net_small\": %.3f, \"work_per_net_big\": %.3f,\n\
-    \  \"work_per_net_growth\": %.4f, \"linearity_gate_ok\": %b }\n"
-    smoke cores r1 c1 r2 c2 nets_s nets_b work_s work_b diags_s diags_b
-    (1e3 *. t_s) (1e3 *. t_b) per_s per_b ratio ok;
-  close_out oc;
-  note "wrote %s" json_path;
-  if not ok then begin
-    note "LINT SCALE FAIL — work per net grew %.3fx" ratio;
-    exit 1
-  end
-  else note "lint_scale ok"
+  let ok =
+    check (Printf.sprintf "lint work per net grew %.3fx (> 1.5x)" ratio)
+      (ratio <= 1.5)
+  in
+  write_bench ~smoke "lint_scale"
+    [ ("grid_small", Arr [ Int r1; Int c1 ]);
+      ("grid_big", Arr [ Int r2; Int c2 ]);
+      ("nets_small", Int nets_s); ("nets_big", Int nets_b);
+      ("work_small", Int work_s); ("work_big", Int work_b);
+      ("diags_small", Int diags_s); ("diags_big", Int diags_b);
+      ("ms_small", num "%.3f" (1e3 *. t_s));
+      ("ms_big", num "%.3f" (1e3 *. t_b));
+      ("work_per_net_small", num "%.3f" per_s);
+      ("work_per_net_big", num "%.3f" per_b);
+      ("work_per_net_growth", num "%.4f" ratio);
+      ("linearity_gate_ok", Bool ok) ]
 
 let verify_bench () =
   section "Verification harness — differential oracle throughput";
@@ -1668,16 +1501,12 @@ let verify_bench () =
   note "oracle throughput: %.1f circuits/sec" per_sec;
   note "%d cases, %d failures, worst rel L2 %.4g, %d reference points" cases
     failures worst points;
-  let oc = open_out "BENCH_verify.json" in
-  Printf.fprintf oc
-    "{ \"scenario\": \"verify\", \"seed\": %d, \"cases\": %d, \"failures\": \
-     %d,\n\
-    \  \"worst_rel_l2\": %.6g, \"oracle_points\": %d,\n\
-    \  \"oracle_ns_per_case\": %.0f, \"awe_ns_per_case\": %.0f,\n\
-    \  \"circuits_per_sec\": %.2f }\n"
-    seed cases failures worst points ns_oracle ns_awe per_sec;
-  close_out oc;
-  note "wrote BENCH_verify.json"
+  write_bench "verify"
+    [ ("seed", Int seed); ("cases", Int cases); ("failures", Int failures);
+      ("worst_rel_l2", num "%.6g" worst); ("oracle_points", Int points);
+      ("oracle_ns_per_case", num "%.0f" ns_oracle);
+      ("awe_ns_per_case", num "%.0f" ns_awe);
+      ("circuits_per_sec", num "%.2f" per_sec) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1688,7 +1517,7 @@ let verify_bench () =
    pattern-tier hit delta — the ladder's three unreduced topology
    classes collapse to one reduced template, so the symbolic tier
    should hit more with the pass on. *)
-let sta_reduce ?(smoke = false) () =
+let sta_reduce ~smoke =
   section
     (if smoke then "STA model-order reduction — smoke (elimination + gates)"
      else "STA model-order reduction — reduced vs unreduced cold analyze");
@@ -1700,16 +1529,6 @@ let sta_reduce ?(smoke = false) () =
         Sta.Synth.rc_ladder ~stages:lstages ~length:llen ~fanout:lfan () );
       ("grid", Sta.Synth.grid ~rows:grows ~cols:gcols ()) ]
   in
-  let cores = Parallel.default_jobs () in
-  let ok = ref true in
-  let check what b =
-    if not b then begin
-      note "GATE FAIL: %s" what;
-      ok := false
-    end;
-    b
-  in
-  let jobs_list = [ 1; 4 ] in
   let rows =
     List.map
       (fun (name, d) ->
@@ -1747,10 +1566,10 @@ let sta_reduce ?(smoke = false) () =
                  %8.2f ms  ratio %.2fx"
                 name jobs (1e3 *. on_t.t_med) (1e3 *. off_t.t_med)
                 (on_t.t_med /. off_t.t_med);
-              (jobs, on_t, off_t, on_r, off_r))
-            jobs_list
+              (jobs, (on_t, off_t, on_r, off_r)))
+            [ 1; 4 ]
         in
-        let _, _, _, on_r, off_r = List.hd per_jobs in
+        let _, (on1, off1, on_r, off_r) = List.hd per_jobs in
         let s = on_r.Sta.stats in
         let eliminated = s.Awe.Stats.reduce_nodes_eliminated in
         let ratio =
@@ -1816,17 +1635,30 @@ let sta_reduce ?(smoke = false) () =
         let ph_on = pattern_hits true and ph_off = pattern_hits false in
         note "%-10s cold pattern hits: %d reduced vs %d unreduced" name ph_on
           ph_off;
-        (name, per_jobs, eliminated, !total_nodes, ratio, !worst_exact,
-         !worst_lumped, ph_on, ph_off))
+        ( (ratio, on1, off1, ph_on, ph_off),
+          ( name,
+            Obj
+              [ ("stage_nodes", Int !total_nodes);
+                ("nodes_eliminated", Int eliminated);
+                ("reduction_ratio", num "%.3f" ratio);
+                ("worst_exact_rel", num "%.3g" !worst_exact);
+                ("worst_lumped_rel", num "%.3g" !worst_lumped);
+                ("cold_pattern_hits_reduced", Int ph_on);
+                ("cold_pattern_hits_unreduced", Int ph_off);
+                ( "jobs",
+                  by_jobs
+                    (fun (on_t, off_t, _, _) ->
+                      Obj
+                        [ ("reduced_ms", ms_spread on_t);
+                          ("unreduced_ms", ms_spread off_t);
+                          ("ratio", num "%.3f" (on_t.t_med /. off_t.t_med)) ])
+                    per_jobs ) ] ) ))
       designs
   in
   (* the ladder is the headline: most of it must vanish, the cold
      analyze must get materially cheaper, and the pattern tier must
      not lose hits to reduction *)
-  let ( _, lper, _, _, lratio, _, _, lph_on, lph_off ) =
-    match rows with l :: _ -> l | [] -> assert false
-  in
-  let _, lon1, loff1, _, _ = List.hd lper in
+  let lratio, lon1, loff1, lph_on, lph_off = fst (List.hd rows) in
   ignore
     (check
        (Printf.sprintf "ladder eliminates >= 50%% of stage nodes (%.0f%%)"
@@ -1850,104 +1682,25 @@ let sta_reduce ?(smoke = false) () =
     (100. *. lratio)
     (lon1.t_med /. loff1.t_med)
     lph_on lph_off;
-  let json_path = "BENCH_sta_reduce.json" in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{ \"scenario\": \"sta_reduce\", \"smoke\": %b, \"cores\": %d, \"reps\": \
-     %d,\n\
-    \  \"designs\": {\n%s\n  } }\n"
-    smoke cores reps
-    (String.concat ",\n"
-       (List.map
-          (fun ( name, per_jobs, eliminated, total, ratio, we, wl, ph_on,
-                 ph_off ) ->
-            Printf.sprintf
-              "    \"%s\": { \"stage_nodes\": %d, \"nodes_eliminated\": %d, \
-               \"reduction_ratio\": %.3f,\n\
-              \      \"worst_exact_rel\": %.3g, \"worst_lumped_rel\": %.3g,\n\
-              \      \"cold_pattern_hits_reduced\": %d, \
-               \"cold_pattern_hits_unreduced\": %d,\n\
-              \      \"jobs\": {\n%s\n      } }"
-              name total eliminated ratio we wl ph_on ph_off
-              (String.concat ",\n"
-                 (List.map
-                    (fun (jobs, on_t, off_t, _, _) ->
-                      Printf.sprintf
-                        "        \"%d\": { \"reduced_ms\": [%.3f, %.3f, \
-                         %.3f], \"unreduced_ms\": [%.3f, %.3f, %.3f], \
-                         \"ratio\": %.3f }"
-                        jobs (1e3 *. on_t.t_min) (1e3 *. on_t.t_med)
-                        (1e3 *. on_t.t_max) (1e3 *. off_t.t_min)
-                        (1e3 *. off_t.t_med) (1e3 *. off_t.t_max)
-                        (on_t.t_med /. off_t.t_med))
-                    per_jobs)))
-          rows));
-  close_out oc;
-  note "wrote %s" json_path;
-  if smoke && not !ok then begin
-    note "SMOKE FAIL";
-    exit 1
-  end
-  else if not !ok then note "sta_reduce: gates failed (non-smoke, reported)"
-  else note "sta_reduce ok"
+  write_bench ~smoke "sta_reduce"
+    [ ("reps", Int reps); ("designs", Obj (List.map snd rows)) ]
 
 (* ------------------------------------------------------------------ *)
 
-let experiments =
-  [ ("fig7", fig7); ("fig12", fig12); ("fig14", fig14); ("fig15", fig15);
-    ("table1", table1); ("fig17", fig17_18); ("fig18", fig17_18);
-    ("fig19", fig19); ("fig20_21", fig20_21); ("fig23", fig23);
-    ("fig24", fig24); ("table2_fig26", table2_fig26); ("fig26", table2_fig26);
-    ("fig27", fig27); ("eq56", eq56); ("scaling", scaling);
-    ("ablation", ablation); ("shifted", shifted); ("sta", sta_bench);
-    ("sta_batch", sta_batch); ("sta_parallel", fun () -> sta_parallel ());
-    ("sta_cache", fun () -> sta_cache_bench ());
-    ("sta_scale", fun () -> sta_scale ());
-    ("sta_eco", fun () -> sta_eco ());
-    ("sta_corners", fun () -> sta_corners ());
-    ("sta_reduce", fun () -> sta_reduce ());
-    ("lint_scale", fun () -> lint_scale ()); ("verify", verify_bench) ]
-
-let all_in_order =
-  [ fig7; fig12; fig14; fig15; table1; fig17_18; fig19; fig20_21; fig23;
-    fig24; table2_fig26; fig27; eq56; scaling; ablation; shifted; sta_bench;
-    sta_batch; (fun () -> sta_parallel ()); (fun () -> sta_cache_bench ());
-    (fun () -> sta_scale ()); (fun () -> sta_eco ());
-    (fun () -> sta_corners ());
-    (fun () -> sta_reduce ()); (fun () -> lint_scale ()); verify_bench ]
-
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let smoke = List.mem "--smoke" args in
-  let names = List.filter (fun a -> a <> "--smoke") args in
-  match names with
-  | [] when smoke ->
-    (* --smoke alone runs the CI gates *)
-    sta_parallel ~smoke ();
-    sta_cache_bench ~smoke ();
-    sta_scale ~smoke ();
-    sta_eco ~smoke ();
-    sta_corners ~smoke ();
-    sta_reduce ~smoke ();
-    lint_scale ~smoke ()
-  | [] ->
-    Format.printf
-      "AWEsim reproduction harness — every table and figure of the paper@.";
-    List.iter (fun f -> f ()) all_in_order
-  | names ->
-    List.iter
-      (fun name ->
-        match (name, List.assoc_opt name experiments) with
-        | "sta_parallel", _ -> sta_parallel ~smoke ()
-        | "sta_cache", _ -> sta_cache_bench ~smoke ()
-        | "sta_scale", _ -> sta_scale ~smoke ()
-        | "sta_eco", _ -> sta_eco ~smoke ()
-        | "sta_corners", _ -> sta_corners ~smoke ()
-        | "sta_reduce", _ -> sta_reduce ~smoke ()
-        | "lint_scale", _ -> lint_scale ~smoke ()
-        | _, Some f -> f ()
-        | _, None ->
-          Format.printf "unknown experiment %S; available:@." name;
-          List.iter (fun (n, _) -> Format.printf "  %s@." n) experiments;
-          exit 2)
-      names
+  run_scenarios
+    ~title:"AWEsim reproduction harness — every table and figure of the paper"
+    [ ungated [ "fig7" ] fig7; ungated [ "fig12" ] fig12;
+      ungated [ "fig14" ] fig14; ungated [ "fig15" ] fig15;
+      ungated [ "table1" ] table1; ungated [ "fig17"; "fig18" ] fig17_18;
+      ungated [ "fig19" ] fig19; ungated [ "fig20_21" ] fig20_21;
+      ungated [ "fig23" ] fig23; ungated [ "fig24" ] fig24;
+      ungated [ "table2_fig26"; "fig26" ] table2_fig26;
+      ungated [ "fig27" ] fig27; ungated [ "eq56" ] eq56;
+      ungated [ "scaling" ] scaling; ungated [ "ablation" ] ablation;
+      ungated [ "shifted" ] shifted; ungated [ "sta" ] sta_bench;
+      ungated [ "sta_batch" ] sta_batch;
+      gated "sta_parallel" sta_parallel; gated "sta_cache" sta_cache_bench;
+      gated "sta_scale" sta_scale; gated "sta_eco" sta_eco;
+      gated "sta_corners" sta_corners; gated "sta_reduce" sta_reduce;
+      gated "lint_scale" lint_scale; ungated [ "verify" ] verify_bench ]

@@ -174,11 +174,6 @@ let nodes = function
     [ np; nn; cp; cn ]
   | Mutual _ -> []
 
-let is_storage = function
-  | Capacitor _ | Inductor _ | Mutual _ -> true
-  | Resistor _ | Vsource _ | Isource _ | Vcvs _ | Vccs _ | Ccvs _ | Cccs _ ->
-    false
-
 let pp ppf e =
   match e with
   | Resistor { name; np; nn; r } ->

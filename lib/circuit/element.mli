@@ -110,7 +110,4 @@ val name : t -> string
 val nodes : t -> node list
 (** All nodes the element touches (including controlling nodes). *)
 
-val is_storage : t -> bool
-(** True for capacitors and inductors. *)
-
 val pp : Format.formatter -> t -> unit

@@ -52,8 +52,6 @@ let voltage m x node =
 
 let charge_group_count m = Array.length m.charge_rows
 
-let charge_row m i = m.charge_rows.(i)
-
 let charge_coeffs m i = Vec.copy m.charge_coeffs.(i)
 
 let charges_of m x = Array.map (fun q -> Vec.dot q x) m.charge_coeffs

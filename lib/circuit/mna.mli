@@ -71,9 +71,6 @@ val voltage : t -> Linalg.Vec.t -> Element.node -> float
 
 val charge_group_count : t -> int
 
-val charge_row : t -> int -> int
-(** MNA row replaced by charge conservation for group [i]. *)
-
 val charge_coeffs : t -> int -> Linalg.Vec.t
 (** The conserved-charge row [Q] of group [i]: [Q . x] is the group's
     total charge. *)

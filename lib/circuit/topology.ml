@@ -124,11 +124,3 @@ let rc_tree_parent c =
         | Element.Vsource _ -> Some (parent, 0.)
         | _ -> None))
     forest
-
-let pp_properties ppf p =
-  Format.fprintf ppf
-    "@[<v>rc_tree=%b floating_caps=%b grounded_R=%b R_loops=%b inductors=%b \
-     controlled=%b floating_groups=%d@]"
-    p.is_rc_tree p.has_floating_caps p.has_grounded_resistors
-    p.has_resistor_loops p.has_inductors p.has_controlled_sources
-    (List.length p.floating_groups)

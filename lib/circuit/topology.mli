@@ -53,5 +53,3 @@ val rc_tree_parent :
     walking toward the driving source; [None] for ground and source
     nodes.  Raises [Invalid_argument] if the circuit is not an RC
     tree. *)
-
-val pp_properties : Format.formatter -> properties -> unit

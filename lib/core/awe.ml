@@ -16,18 +16,14 @@ open Linalg
 type options = {
   match_slope : bool;
   scale_moments : bool;
-  check_stability : bool;
   sparse : bool;
-  reduce_degenerate : bool;
   expansion_shift : float;
 }
 
 let default_options =
   { match_slope = false;
     scale_moments = true;
-    check_stability = true;
     sparse = false;
-    reduce_degenerate = true;
     expansion_shift = 0. }
 
 type t = {
@@ -42,9 +38,9 @@ exception Degenerate of string
 
 exception Unstable_fit of Cx.t list
 
-(* Fit one subproblem's moment sequence at order [q], optionally
-   retrying at lower orders when the moment matrix is singular (the
-   subproblem has fewer than [q] active poles). *)
+(* Fit one subproblem's moment sequence at order [q], retrying at lower
+   orders when the moment matrix is singular (the subproblem has fewer
+   than [q] active poles); right-half-plane poles raise. *)
 let fit_sequence ~opts ~q ~slope mu =
   let slope = if opts.match_slope then slope else None in
   let rec attempt q =
@@ -52,17 +48,13 @@ let fit_sequence ~opts ~q ~slope mu =
     else begin
       match
         Moment_match.fit ~scale:opts.scale_moments
-          ~check_stability:opts.check_stability
           ~shift:opts.expansion_shift ?slope ~q
           (Array.sub mu 0 (2 * q))
       with
       | terms -> terms
-      | exception Moment_match.No_fit msg ->
-        if opts.reduce_degenerate then begin
-          Stats.record_fit_retry ();
-          attempt (q - 1)
-        end
-        else raise (Degenerate msg)
+      | exception Moment_match.No_fit _ ->
+        Stats.record_fit_retry ();
+        attempt (q - 1)
       | exception Moment_match.Unstable ps -> raise (Unstable_fit ps)
     end
   in

@@ -35,13 +35,7 @@ type options = {
           (the paper's [m_(-2)] matching, Section 4.3); removes the
           [t = 0] glitch of ramp responses.  Default [false]. *)
   scale_moments : bool;  (** frequency scaling, eq. 47.  Default [true]. *)
-  check_stability : bool;
-      (** raise on right-half-plane poles.  Default [true]. *)
   sparse : bool;  (** sparse LU for the moment solves.  Default [false]. *)
-  reduce_degenerate : bool;
-      (** when a subproblem's moment matrix is singular at order [q]
-          (fewer than [q] poles participate), retry it at decreasing
-          order instead of failing.  Default [true]. *)
   expansion_shift : float;
       (** expansion point [s0] for the moment recursion (default [0.],
           the paper's Maclaurin expansion).  A negative real shift near

@@ -49,10 +49,6 @@ let delays ckt =
 
 let delay ckt node = (delays ckt).(node)
 
-let single_exponential ckt node ~v_final t =
-  let td = delay ckt node in
-  if td <= 0. then v_final else v_final *. (1. -. exp (-.t /. td))
-
 let scaled_delay sys ~node =
   let out_var = Circuit.Mna.node_var sys node in
   if out_var < 0 then

@@ -16,15 +16,6 @@ val delays : Circuit.Netlist.circuit -> float array
 val delay : Circuit.Netlist.circuit -> Circuit.Element.node -> float
 (** Elmore delay of one node. *)
 
-val single_exponential :
-  Circuit.Netlist.circuit ->
-  Circuit.Element.node ->
-  v_final:float ->
-  float ->
-  float
-(** [single_exponential ckt node ~v_final t] evaluates the
-    Penfield-Rubinstein model (eq. 2) at time [t]. *)
-
 val scaled_delay :
   Circuit.Mna.t -> node:Circuit.Element.node -> float
 (** The grounded-resistor extension (eq. 3):

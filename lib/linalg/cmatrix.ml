@@ -30,8 +30,6 @@ let mul_vec m x =
 
 let vec_of_real = Array.map Cx.re
 
-let vec_norm_inf v = Array.fold_left (fun m z -> Float.max m (Cx.abs z)) 0. v
-
 let vec_approx_equal ?(tol = 1e-9) a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> Cx.abs (x -: y) <= tol) a b

@@ -30,8 +30,6 @@ val vec_of_real : Vec.t -> vec
 
 val vec_approx_equal : ?tol:float -> vec -> vec -> bool
 
-val vec_norm_inf : vec -> float
-
 val solve : t -> vec -> vec
 (** [solve a b] solves [a x = b] by LU with partial pivoting on
     magnitude.  Raises [Singular] on pivot breakdown.  [a] is not

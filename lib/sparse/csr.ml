@@ -120,17 +120,6 @@ let pattern m = (m.row_ptr, m.col_idx)
 
 let values m = m.values
 
-let same_pattern a b =
-  a.nrows = b.nrows && a.ncols = b.ncols
-  && nnz a = nnz b
-  && (a.row_ptr == b.row_ptr
-     || Array.for_all2 (fun x y -> x = y) a.row_ptr b.row_ptr)
-  && (a.col_idx == b.col_idx
-     ||
-     let n = nnz a in
-     let rec eq k = k >= n || (a.col_idx.(k) = b.col_idx.(k) && eq (k + 1)) in
-     eq 0)
-
 let transpose m =
   let entries = ref [] in
   for i = m.nrows - 1 downto 0 do

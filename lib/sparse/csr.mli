@@ -41,11 +41,6 @@ val values : t -> float array
 (** The stored entry values, indexed by the entry positions of
     {!pattern}.  The matrix's own backing store — read-only. *)
 
-val same_pattern : t -> t -> bool
-(** Whether two matrices have identical dimensions and stored nonzero
-    patterns (positions compare equal entry-for-entry; values are
-    ignored). *)
-
 val transpose : t -> t
 
 val permute : t -> rows:int array -> cols:int array -> t

@@ -8,8 +8,6 @@ let create n =
   if n < 0 then invalid_arg "Graph.create: negative size";
   { n; adj = Array.make n []; edges = 0 }
 
-let vertex_count g = g.n
-
 let check_vertex g v =
   if v < 0 || v >= g.n then invalid_arg "Graph: vertex out of range"
 

@@ -10,8 +10,6 @@ type t
 val create : int -> t
 (** [create n] is the edgeless graph on vertices [0 .. n-1]. *)
 
-val vertex_count : t -> int
-
 val add_edge : t -> int -> int -> label:int -> unit
 (** Adds an undirected edge carrying an integer [label] (the circuit
     element index).  Parallel edges and self-loops are allowed;

@@ -103,13 +103,6 @@ type symbolic = {
   slpat : int array array;
 }
 
-let symbolic_dim s = s.sn
-
-let symbolic_nnz s =
-  Array.fold_left (fun acc l -> acc + Array.length l) 0 s.slpat
-  + Array.fold_left (fun acc t -> acc + Array.length t) 0 s.stopo
-  + s.sn
-
 (* Static pivot assignment: a perfect matching between pivot positions
    (columns of the permuted matrix) and permuted rows, placing every
    pivot on a stored entry.  Diagonal entries are claimed first — for

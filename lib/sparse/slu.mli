@@ -72,12 +72,6 @@ val same_analysis : symbolic -> symbolic -> bool
     are therefore interchangeable for {!refactor}).  Used by caches to
     avoid storing duplicate analyses of one pattern. *)
 
-val symbolic_dim : symbolic -> int
-
-val symbolic_nnz : symbolic -> int
-(** Stored positions in the symbolic's predicted [L] and [U] patterns
-    (including the diagonal) — the fill the numeric phase will fill. *)
-
 val factor : ?order:int array -> Csr.t -> t
 (** [symbolic] followed by [refactor] on the same matrix.  Raises
     [Singular] on structural or numerical rank deficiency.

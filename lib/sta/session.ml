@@ -74,10 +74,6 @@ type t = {
          rise-worst input: selection is by rise arrival, so both
          transitions telescope along the same net sequence. *)
   timed : (string, net_timing) Hashtbl.t;
-  sink_results : (string * string, sink_timing) Hashtbl.t;
-      (* entries for sinks a topology edit removed linger; they are
-         unreachable (all reads go through current gate inputs or
-         current [timed] sinks) and carry no report state *)
   req_driver : (string, float * float) Hashtbl.t;
   req_sinks : (string, (float * float) list) Hashtbl.t;
       (* net -> the requirement at each sink pin, in the order of its
@@ -182,28 +178,30 @@ let compute_waves t =
 
 (* --- forward-pass helpers ----------------------------------------- *)
 
-(* A net's arrival tuple, pulled from the sink results of its driver
-   gate's inputs: the worst input by rise arrival (strict [>] in input
-   order, first wins) plus the gate's intrinsic delay; a primary input
-   contributes its arrival card and slew.  The checks in [engine] leave
-   every other scheduled net exactly one driver.  The tuple names its
-   worst input rather than carrying the path, so it depends only on
-   the driver gate and its inputs' records: a path change further
-   upstream leaves it alone. *)
+(* A net's arrival tuple, pulled from its driver gate's pin entries in
+   the records of the gate's input nets: the worst input by rise
+   arrival (strict [>] in input order, first wins) plus the gate's
+   intrinsic delay; a primary input contributes its arrival card and
+   slew.  The checks in [engine] leave every other scheduled net
+   exactly one driver.  The tuple names its worst input rather than
+   carrying the path, so it depends only on the driver gate and its
+   inputs' records: a path change further upstream leaves it alone. *)
 let compute_arrival t net =
   match primary_input t.d net with
   | Some (arr, slew) -> (arr, arr, slew, None)
   | None ->
     let g = find_gate t.d (List.hd (net_drivers t.d net)) in
-    let inst = g.inst in
+    let pin inp =
+      List.find (fun s -> s.sink_inst = g.inst) (Hashtbl.find t.timed inp).sinks
+    in
     let worst, worst_net =
       List.fold_left
         (fun (acc, accn) inp ->
-          let s = Hashtbl.find t.sink_results (inp, inst) in
+          let s = pin inp in
           if s.arrival > acc then (s.arrival, inp) else (acc, accn))
         (neg_infinity, "") g.inputs
     in
-    let worst_sink = Hashtbl.find t.sink_results (worst_net, inst) in
+    let worst_sink = pin worst_net in
     ( worst +. g.cell.intrinsic,
       worst_sink.arrival_fall +. g.cell.intrinsic,
       worst_sink.sink_slew,
@@ -280,10 +278,7 @@ let rebuild_net t net timings =
   let changed =
     match Hashtbl.find_opt t.timed net with Some old -> old <> nt | None -> true
   in
-  if changed then begin
-    Hashtbl.replace t.timed net nt;
-    List.iter (fun st -> Hashtbl.replace t.sink_results (net, st.sink_inst) st) sinks
-  end;
+  if changed then Hashtbl.replace t.timed net nt;
   changed
 
 (* --- endpoints ----------------------------------------------------- *)
@@ -718,7 +713,6 @@ let engine ~model ~sparse ~jobs ~reduce ~cache (d : design) =
     memo = Hashtbl.create 256;
     arrival = Hashtbl.create 256;
     timed = Hashtbl.create 256;
-    sink_results = Hashtbl.create 256;
     req_driver = Hashtbl.create 256;
     req_sinks = Hashtbl.create 256;
     endpoint_req = Hashtbl.create 8;
@@ -912,7 +906,6 @@ let reset_analysis t =
   Hashtbl.reset t.memo;
   Hashtbl.reset t.arrival;
   Hashtbl.reset t.timed;
-  Hashtbl.reset t.sink_results;
   Hashtbl.reset t.req_driver;
   Hashtbl.reset t.req_sinks;
   Hashtbl.reset t.endpoint_req;

@@ -836,15 +836,11 @@ let critical_paths (d : design) (r : report) ~k =
   if k < 0 then invalid_arg "Sta.critical_paths: k must be non-negative";
   let timed : (string, net_timing) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun nt -> Hashtbl.replace timed nt.net_name nt) r.nets;
-  let sink_results : (string * string, sink_timing) Hashtbl.t =
-    Hashtbl.create 16
+  (* a gate's pin entry in the record of one of its input nets *)
+  let pin_entry net inst =
+    Option.bind (Hashtbl.find_opt timed net) (fun nt ->
+        List.find_opt (fun st -> st.sink_inst = inst) nt.sinks)
   in
-  List.iter
-    (fun nt ->
-      List.iter
-        (fun st -> Hashtbl.replace sink_results (nt.net_name, st.sink_inst) st)
-        nt.sinks)
-    r.nets;
   let candidates =
     List.concat_map
       (fun (net, t) ->
@@ -893,7 +889,7 @@ let critical_paths (d : design) (r : report) ~k =
       let net_delay, arrival =
         match pin_opt with
         | Some inst ->
-          let st = Hashtbl.find sink_results (net, inst) in
+          let st = Option.get (pin_entry net inst) in
           (delay_of tr st, arrival_of tr st)
         | None ->
           let nt = Hashtbl.find timed net in
@@ -938,7 +934,7 @@ let critical_paths (d : design) (r : report) ~k =
         let worst_net, _ =
           List.fold_left
             (fun (accn, acca) inp ->
-              match Hashtbl.find_opt sink_results (inp, g.inst) with
+              match pin_entry inp g.inst with
               | None -> (accn, acca)
               | Some s ->
                 if s.arrival > acca then (inp, s.arrival) else (accn, acca))

@@ -28,15 +28,6 @@ type config = {
   jobs : int;  (** parallel fan-out across cases/props/fuzzers *)
 }
 
-let default_config =
-  { seed = 42;
-    count = 200;
-    prop_count = 60;
-    fuzz_count = 1000;
-    tol = Oracle.default_tol;
-    repro_dir = None;
-    jobs = 1 }
-
 type prop_failure = {
   prop : string;
   prop_seed : int;

@@ -29,11 +29,6 @@ type config = {
   jobs : int;  (** parallel fan-out across cases/props/fuzzers *)
 }
 
-val default_config : config
-(** seed 42, 200 oracle cases, 60 seeds per property, 1000 fuzz
-    inputs per fuzzer, {!Oracle.default_tol}, no repro directory,
-    jobs 1. *)
-
 type prop_failure = {
   prop : string;
   prop_seed : int;

@@ -2135,13 +2135,12 @@ let test_session_synth_streams () =
 
 (* ----- Serve: the line protocol over a session --------------------- *)
 
-let deck_path () =
+let deck_path ?(deck = "adder_stage.sta") () =
   match
-    List.find_opt Sys.file_exists
-      [ "../../decks/adder_stage.sta"; "decks/adder_stage.sta" ]
+    List.find_opt Sys.file_exists [ "../../decks/" ^ deck; "decks/" ^ deck ]
   with
   | Some p -> p
-  | None -> Alcotest.failf "decks/adder_stage.sta not found"
+  | None -> Alcotest.failf "decks/%s not found" deck
 
 let starts_with prefix s =
   String.length s >= String.length prefix
@@ -2217,6 +2216,30 @@ let test_serve_matches_session () =
   match Sta.Serve.session t with
   | None -> Alcotest.fail "no session after load"
   | Some s -> check_session_cold "serve-driven session" s
+
+let test_serve_failed_load_keeps_session () =
+  (* a load that fails to read the file, to parse it or to build its
+     session leaves the loaded session as it was, pending edit included *)
+  let t = Sta.Serve.create ~reduce:false () in
+  ignore (expect_ok t "load" ("load " ^ deck_path ()));
+  ignore (expect_ok t "edit" "edit set_r out 0 450");
+  let s = Option.get (Sta.Serve.session t) in
+  let before = Sta.Session.report s in
+  List.iter
+    (fun (name, path) -> ignore (expect_err t name ("load " ^ path)))
+    [ ("missing file", "/nonexistent/x.sta");
+      ("not a design file", deck_path ~deck:"fig4.sp" ());
+      ("cyclic design", deck_path ~deck:"lint/cycle.sta" ()) ];
+  Alcotest.(check bool) "same session" true
+    (match Sta.Serve.session t with Some s' -> s' == s | None -> false);
+  Alcotest.(check int) "edit still pending" 1 (Sta.Session.pending_edits s);
+  Alcotest.(check bool) "last report kept" true (Sta.Session.report s == before);
+  (* the pending edit re-times as it would have without the failed loads *)
+  let fresh = Sta.Serve.create ~reduce:false () in
+  ignore (expect_ok fresh "load" ("load " ^ deck_path ()));
+  ignore (expect_ok fresh "edit" "edit set_r out 0 450");
+  let timing t = (expect_ok t "timing" "timing --slack --top-k 3").Sta.Serve.body in
+  Alcotest.(check string) "timing reply" (timing fresh) (timing t)
 
 let () =
   Alcotest.run "sta"
@@ -2331,4 +2354,6 @@ let () =
       ( "serve",
         [ Alcotest.test_case "protocol round-trip" `Quick test_serve_protocol;
           Alcotest.test_case "protocol drives the same session" `Quick
-            test_serve_matches_session ] ) ]
+            test_serve_matches_session;
+          Alcotest.test_case "failed load keeps the session" `Quick
+            test_serve_failed_load_keeps_session ] ) ]
